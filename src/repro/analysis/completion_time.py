@@ -69,6 +69,8 @@ class CompletionTimeEstimator:
         self.issue_width = int(issue_width)
         self.communication_latency = int(communication_latency)
         self.contention_mode = contention_mode
+        #: Per-node latency, read once per candidate cluster by :meth:`estimate`.
+        self.latency: List[int] = [inst.latency for inst in ddg.instructions]
         #: Completion time of each assigned node (None until assigned).
         self.completion: List[Optional[int]] = [None] * len(ddg)
         #: Virtual cluster of each assigned node (None until assigned).
@@ -126,7 +128,7 @@ class CompletionTimeEstimator:
         if not 0 <= vc < self.num_virtual_clusters:
             raise ValueError(f"virtual cluster {vc} out of range")
         start = max(self.ready_time(node, vc), self.contention_delay(vc))
-        return start + self.ddg.instructions[node].latency
+        return start + self.latency[node]
 
     # -- commitment --------------------------------------------------------------
     def assign(self, node: int, vc: int) -> int:

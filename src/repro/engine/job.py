@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.cluster.config import ClusterConfig
+from repro.engine.artifacts import ANNOTATION_FORMAT_VERSION
 from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
 from repro.workloads.generator import BenchmarkProfile
 
@@ -119,6 +120,30 @@ class SimulationJob:
                 "num_int": self.register_space.num_int,
                 "num_fp": self.register_space.num_fp,
             },
+        }
+        return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+
+    def annotation_key(self) -> str:
+        """Stable hash of everything that determines the compile-time pass output.
+
+        The pass is a fixed function of the program (the trace key), the
+        partitioner's registry identity, the cluster count, the effective
+        virtual-cluster count and the region size.  The key cannot see the
+        pass's code; :data:`~repro.engine.artifacts.ANNOTATION_FORMAT_VERSION`
+        stands in for it.
+        """
+        configuration = self.configuration
+        identity = configuration.cache_identity()
+        payload = {
+            "format": ANNOTATION_FORMAT_VERSION,
+            "trace": self.trace_key(),
+            "partitioner": identity["partitioner"],
+            "partitioner_params": identity["partitioner_params"],
+            "num_clusters": self.num_clusters,
+            "num_virtual_clusters": configuration.effective_virtual_clusters(
+                self.num_virtual_clusters
+            ),
+            "region_size": self.region_size,
         }
         return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 

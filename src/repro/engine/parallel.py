@@ -102,7 +102,8 @@ TRACE_MEMO_CAP_ENV = "REPRO_TRACE_MEMO_CAP"
 #: worker reuses a single set of hit/miss counters across its jobs.
 _STORES: Dict[str, TraceArtifactStore] = {}
 
-#: Zeroed trace-traffic counters (template for aggregation).
+#: Zeroed store-traffic counters (template for aggregation; trace and
+#: annotation artifacts keep separate sets).
 _ZERO_TRACE_STATS = {"hits": 0, "misses": 0, "stores": 0}
 
 #: Zeroed shared-memory counters (template for :meth:`ParallelRunner.shm_stats`).
@@ -218,24 +219,55 @@ def _trace_for(
     return entry
 
 
-def _prepare_job(job: SimulationJob, program, compiled):
+def _prepare_job(
+    job: SimulationJob, program, compiled, store: Optional[TraceArtifactStore] = None
+):
     """Annotate ``program``/``compiled`` for ``job`` and build its run-time policy.
 
-    The shared per-configuration sequence of both execution paths: run the
-    configuration's compile-time pass (or clear stale annotations for
-    hardware-only schemes), scatter the annotations into the compiled trace,
-    instantiate the policy.
+    The shared per-configuration sequence of every execution path (serial,
+    pickle and shared-memory): apply the configuration's compile-time pass
+    (or clear stale annotations for hardware-only schemes), scatter the
+    annotations into the compiled trace, instantiate the policy.  With a
+    ``store``, the pass's output is an annotation artifact: a hit is applied
+    in place of running the pass, and a miss runs it and stores the result.
     """
     configuration = job.configuration
     partitioner = configuration.make_partitioner(
         job.num_clusters, job.num_virtual_clusters, job.region_size
     )
-    if partitioner is not None:
+    if partitioner is None:
+        program.clear_annotations()
+    elif store is None:
         partitioner.annotate_program(program)
     else:
-        program.clear_annotations()
+        key = job.annotation_key()
+        if not store.get_annotations(key, program, partitioner.num_targets):
+            partitioner.annotate_program(program)
+            store.put_annotations(key, program)
     compiled.annotate_from(program)
     return configuration.make_policy(job.num_clusters, job.num_virtual_clusters)
+
+
+def _snapshot(store: Optional[TraceArtifactStore]):
+    """Both counter sets of ``store`` on entry to a task (``None`` -> none)."""
+    return None if store is None else (store.stats(), store.annotation_stats())
+
+
+def _task_result(
+    dumps: List[Dict[str, object]], store: Optional[TraceArtifactStore], snapshot
+) -> Dict[str, object]:
+    """A worker task's dumps plus its store traffic since ``snapshot``."""
+    if store is None:
+        return {"dumps": dumps, "trace_stats": None, "annotation_stats": None}
+    trace_snapshot, annotation_snapshot = snapshot
+    return {
+        "dumps": dumps,
+        "trace_stats": store.stats_since(trace_snapshot),
+        "annotation_stats": {
+            name: value - annotation_snapshot[name]
+            for name, value in store.annotation_stats().items()
+        },
+    }
 
 
 def execute_job(
@@ -251,13 +283,19 @@ def execute_job(
     the policy and a fresh machine, simulate.  The dict return type keeps the
     cross-process payload plain (cheap to pickle, schema-checked on rebuild).
     """
-    program, compiled = _trace_for(job, trace_root, trace_store, memo_cap)
-    policy = _prepare_job(job, program, compiled)
+    store = trace_store if trace_store is not None else trace_store_for(trace_root)
+    program, compiled = _trace_for(job, trace_root, store, memo_cap)
+    policy = _prepare_job(job, program, compiled, store)
     processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
     return processor.run(compiled).to_dict()
 
 
-def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Dict[str, object]]:
+def _simulate_batch(
+    jobs: Sequence[SimulationJob],
+    program,
+    compiled,
+    store: Optional[TraceArtifactStore] = None,
+) -> List[Dict[str, object]]:
     """Run all ``jobs`` of one batch against an already-resident trace.
 
     The shared inner loop of the pickle and shared-memory batch paths: one
@@ -279,7 +317,7 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
     processors: Dict[Tuple[object, ...], ClusteredProcessor] = {}
     dumps: List[Dict[str, object]] = []
     for job in jobs:
-        policy = _prepare_job(job, program, compiled)
+        policy = _prepare_job(job, program, compiled, store)
         key = job.machine_key()
         processor = processors.get(key)
         if processor is None:
@@ -304,36 +342,37 @@ def execute_batch(
     is fetched (memo, artifact store, or generated) exactly once and
     simulated against via :func:`_simulate_batch`.
 
-    Returns ``{"dumps": [...], "trace_stats": {...} | None}``; ``dumps`` are
-    in job order and ``trace_stats`` is this task's artifact-store traffic
-    delta (for parent-side aggregation across workers).
+    Returns ``{"dumps": [...], "trace_stats": {...} | None,
+    "annotation_stats": {...} | None}``; ``dumps`` are in job order and the
+    stats are this task's trace- and annotation-artifact traffic deltas (for
+    parent-side aggregation across workers).
     """
     if not jobs:
-        return {"dumps": [], "trace_stats": None}
+        return _task_result([], None, None)
     store = trace_store if trace_store is not None else trace_store_for(trace_root)
-    snapshot = store.stats() if store is not None else None
+    snapshot = _snapshot(store)
     program, compiled = _trace_for(jobs[0], trace_root, store, memo_cap)
-    dumps = _simulate_batch(jobs, program, compiled)
-    return {
-        "dumps": dumps,
-        "trace_stats": store.stats_since(snapshot) if store is not None else None,
-    }
+    return _task_result(_simulate_batch(jobs, program, compiled, store), store, snapshot)
 
 
 def _execute_segment_batch(
-    jobs: Sequence[SimulationJob], segment_name: str
+    jobs: Sequence[SimulationJob], source: Tuple[str, Optional[str]]
 ) -> Dict[str, object]:
     """Worker task of the shared-memory path: attach by name and simulate.
 
-    The trace's columns never cross the task queue -- only the jobs and the
-    segment name do.  Attachments are cached per worker process, so later
-    batches of the same trace (across runs of a persistent pool) reuse the
-    mapping.  No artifact-store traffic happens here by construction; the
-    parent already accounted the trace's acquisition when it published the
-    segment.
+    ``source`` is ``(segment name, trace root)``.  The trace's columns never
+    cross the task queue -- only the jobs, the segment name and the store
+    root do.  Attachments are cached per worker process, so later batches of
+    the same trace (across runs of a persistent pool) reuse the mapping.  No
+    trace-artifact traffic happens here by construction (the parent already
+    accounted the trace's acquisition when it published the segment); the
+    store under ``trace_root`` serves only annotation artifacts.
     """
+    segment_name, trace_root = source
+    store = trace_store_for(trace_root)
+    snapshot = _snapshot(store)
     program, compiled = attach_segment(segment_name)
-    return {"dumps": _simulate_batch(jobs, program, compiled), "trace_stats": None}
+    return _task_result(_simulate_batch(jobs, program, compiled, store), store, snapshot)
 
 
 def _execute_job_task(
@@ -343,12 +382,9 @@ def _execute_job_task(
 ) -> Dict[str, object]:
     """Worker wrapper around :func:`execute_job` that also reports store traffic."""
     store = trace_store_for(trace_root)
-    snapshot = store.stats() if store is not None else None
+    snapshot = _snapshot(store)
     dump = execute_job(job, trace_root=trace_root, trace_store=store, memo_cap=memo_cap)
-    return {
-        "dumps": [dump],
-        "trace_stats": store.stats_since(snapshot) if store is not None else None,
-    }
+    return _task_result([dump], store, snapshot)
 
 
 class ParallelRunner:
@@ -425,6 +461,7 @@ class ParallelRunner:
             TraceArtifactStore(self.trace_root) if self.trace_root is not None else None
         )
         self._worker_trace_stats: Dict[str, int] = dict(_ZERO_TRACE_STATS)
+        self._worker_annotation_stats: Dict[str, int] = dict(_ZERO_TRACE_STATS)
         #: Cumulative batch-scheduling counters across this runner's runs
         #: (the CLI ``[batch]`` footer): distinct traces, total jobs, widest
         #: batch, how many jobs actually executed in batch tasks, how many
@@ -514,6 +551,18 @@ class ParallelRunner:
                 totals[name] += value
         return totals
 
+    def annotation_stats(self) -> Dict[str, int]:
+        """Aggregated annotation-artifact traffic of this runner's runs.
+
+        Summed like :meth:`trace_stats`, but kept apart from it: trace
+        counters (and the ``[traces]`` footer) describe trace artifacts only.
+        """
+        totals = dict(self._worker_annotation_stats)
+        if self._trace_store is not None:
+            for name, value in self._trace_store.annotation_stats().items():
+                totals[name] += value
+        return totals
+
     def shm_stats(self) -> Dict[str, int]:
         """Shared-memory substrate counters of this runner's runs.
 
@@ -555,11 +604,15 @@ class ParallelRunner:
         return self._segments
 
     def _absorb_task_result(self, result: Dict[str, object]) -> List[Dict[str, object]]:
-        """Fold one worker task's trace traffic into the totals; return its dumps."""
-        stats = result.get("trace_stats")
-        if stats:
-            for name in self._worker_trace_stats:
-                self._worker_trace_stats[name] += stats.get(name, 0)
+        """Fold one worker task's store traffic into the totals; return its dumps."""
+        for field, totals in (
+            ("trace_stats", self._worker_trace_stats),
+            ("annotation_stats", self._worker_annotation_stats),
+        ):
+            stats = result.get(field)
+            if stats:
+                for name in totals:
+                    totals[name] += stats.get(name, 0)
         return result["dumps"]
 
     # ----------------------------------------------------------- cancellation --
@@ -772,7 +825,7 @@ class ParallelRunner:
                     registry.acquire(trace_key)
                     try:
                         future = self._pool.submit(
-                            _execute_segment_batch, task.jobs, segment.name
+                            _execute_segment_batch, task.jobs, (segment.name, self.trace_root)
                         )
                     except BaseException:
                         # The task never existed, so the finally loop below

@@ -11,12 +11,38 @@ examples, tests and reports can inspect what the compiler did.
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
-from repro.program.regions import Region, form_regions
+from repro.program.regions import form_regions
+
+#: A program's region count and the DDGs of its non-empty regions.
+RegionDDGs = Tuple[int, List[DataDependenceGraph]]
+
+#: ``program -> {region_size: RegionDDGs}``.
+#: Regions and their DDGs depend only on the program's instructions and CFG,
+#: never on annotations, so every pass over one program (all configurations
+#: of a batch) shares them; weak keys let them go with the program.
+_REGION_DDGS: "weakref.WeakKeyDictionary[Program, Dict[int, RegionDDGs]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def region_ddgs(program: Program, region_size: int) -> RegionDDGs:
+    """The region count and non-empty region DDGs of ``program``, built once."""
+    per_size = _REGION_DDGS.setdefault(program, {})
+    entry = per_size.get(region_size)
+    if entry is None:
+        regions = form_regions(program, max_instructions=region_size)
+        entry = (
+            len(regions),
+            [build_ddg(region.instructions) for region in regions if region.instructions],
+        )
+        per_size[region_size] = entry
+    return entry
 
 
 @dataclass
@@ -92,12 +118,8 @@ class RegionPartitioner(abc.ABC):
         """Run the pass over every region of ``program`` and annotate it in place."""
         program.clear_annotations()
         report = PartitionReport(program_name=program.name, partitioner=self.name)
-        regions: List[Region] = form_regions(program, max_instructions=self.region_size)
-        report.num_regions = len(regions)
-        for region in regions:
-            if not region.instructions:
-                continue
-            ddg = build_ddg(region.instructions)
+        report.num_regions, ddgs = region_ddgs(program, self.region_size)
+        for ddg in ddgs:
             assignment = self.partition_region(ddg)
             if len(assignment) != len(ddg):
                 raise ValueError(

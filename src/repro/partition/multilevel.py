@@ -273,11 +273,14 @@ class MultilevelPartitioner:
                 candidate_targets = external or {
                     p: 0 for p in range(self.num_parts) if p != current
                 }
+                # ``per_part`` is restored after every rejected trial move and
+                # the loop ends at the first accepted one, so the group's
+                # imbalance before a move is the same for every target.
+                imbalance_before = self._imbalance_of(per_part)
                 for target, external_weight in candidate_targets.items():
                     if part_weight[target] + weight > max_part:
                         continue
                     cut_gain = external_weight - internal
-                    imbalance_before = self._imbalance_of(per_part)
                     per_part[current] -= weight
                     per_part[target] += weight
                     imbalance_after = self._imbalance_of(per_part)

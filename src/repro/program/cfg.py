@@ -11,9 +11,10 @@ The CFG serves two purposes in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-import networkx as nx
+if TYPE_CHECKING:  # only to_networkx() needs networkx; it imports it lazily
+    import networkx
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,11 @@ class ControlFlowGraph:
                 )
 
     # -- interoperability --------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self) -> networkx.DiGraph:
         """Export the CFG as a :class:`networkx.DiGraph` (edges carry probability)."""
-        graph = nx.DiGraph()
+        import networkx
+
+        graph = networkx.DiGraph()
         graph.add_nodes_from(self.blocks)
         for edges in self._succs.values():
             for e in edges:

@@ -11,11 +11,12 @@ registers), so they are not represented.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.uops.uop import StaticInstruction
+
+if TYPE_CHECKING:  # only to_networkx() needs networkx; it imports it lazily
+    import networkx
 
 
 class DataDependenceGraph:
@@ -83,9 +84,11 @@ class DataDependenceGraph:
         """Return the static instruction at DDG node ``node``."""
         return self.instructions[node]
 
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self) -> networkx.DiGraph:
         """Export to a :class:`networkx.DiGraph`; node attribute ``inst`` holds the instruction."""
-        graph = nx.DiGraph()
+        import networkx
+
+        graph = networkx.DiGraph()
         for i, inst in enumerate(self.instructions):
             graph.add_node(i, inst=inst)
         for (p, c), lat in self.edge_latency.items():

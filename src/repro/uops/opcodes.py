@@ -100,12 +100,16 @@ INT_OPCODES = frozenset(
 
 def latency_of(opclass: UopClass) -> int:
     """Return the functional-unit latency in cycles for ``opclass``."""
-    return _LATENCY[UopClass(opclass)]
+    # Members and their plain-int values hash alike, so the common case skips
+    # the enum constructor; anything else goes through it (and raises there).
+    latency = _LATENCY.get(opclass)
+    return latency if latency is not None else _LATENCY[UopClass(opclass)]
 
 
 def queue_of(opclass: UopClass) -> IssueQueueKind:
     """Return the per-cluster issue queue that ``opclass`` is allocated into."""
-    return _QUEUE[UopClass(opclass)]
+    queue = _QUEUE.get(opclass)
+    return queue if queue is not None else _QUEUE[UopClass(opclass)]
 
 
 def is_memory(opclass: UopClass) -> bool:
