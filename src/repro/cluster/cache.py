@@ -12,7 +12,7 @@ the hybrid scheme exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -31,6 +31,34 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Hit rate in [0, 1] (1.0 when the cache was never accessed)."""
         return self.hits / self.accesses if self.accesses else 1.0
+
+
+def _touch(cache: "SetAssociativeCache", address: int) -> bool:
+    """Access ``address``; ``True`` on a hit, LRU allocation on a miss.
+
+    The one cache access (``SetAssociativeCache.access``); the hierarchy
+    calls it directly, one frame per level.
+    """
+    line = address // cache.line_size
+    num_sets = cache.num_sets
+    set_index = line % num_sets
+    tag = line // num_sets
+    stats = cache.stats
+    stats.accesses += 1
+    ways = cache._sets.get(set_index)
+    if ways is None:
+        cache._sets[set_index] = [tag]
+        return False
+    if tag in ways:
+        if ways[0] != tag:
+            ways.remove(tag)
+            ways.insert(0, tag)
+        stats.hits += 1
+        return True
+    ways.insert(0, tag)
+    if len(ways) > cache.assoc:
+        ways.pop()
+    return False
 
 
 class SetAssociativeCache:
@@ -66,34 +94,7 @@ class SetAssociativeCache:
         self._sets: Dict[int, List[int]] = {}
         self.stats = CacheStats()
 
-    def _locate(self, address: int):
-        line = address // self.line_size
-        return line % self.num_sets, line // self.num_sets
-
-    def access(self, address: int, allocate: bool = True) -> bool:
-        """Access ``address``; return ``True`` on a hit.
-
-        On a miss the line is allocated (LRU replacement) unless
-        ``allocate`` is ``False``.
-        """
-        set_index, tag = self._locate(address)
-        self.stats.accesses += 1
-        ways = self._sets.get(set_index)
-        if ways is None:
-            if allocate:
-                self._sets[set_index] = [tag]
-            return False
-        if tag in ways:
-            if ways[0] != tag:
-                ways.remove(tag)
-                ways.insert(0, tag)
-            self.stats.hits += 1
-            return True
-        if allocate:
-            ways.insert(0, tag)
-            if len(ways) > self.assoc:
-                ways.pop()
-        return False
+    access = _touch
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (contents are kept)."""
@@ -127,18 +128,43 @@ class MemoryHierarchy:
         )
         return cls(l1, l2, config.memory_latency)
 
+    @property
+    def geometry(self) -> Tuple[int, ...]:
+        """What the tag contents depend on: line size and both levels' sets x ways."""
+        l1, l2 = self.l1, self.l2
+        return (l1.line_size, l1.num_sets, l1.assoc, l2.line_size, l2.num_sets, l2.assoc)
+
     def load_latency(self, address: int) -> int:
         """Latency (cycles) of a load to ``address``, updating both levels."""
-        if self.l1.access(address):
+        if _touch(self.l1, address):
             return self.l1.hit_latency
-        if self.l2.access(address):
+        if _touch(self.l2, address):
             return self.l2.hit_latency
         return self.memory_latency
 
     def store_access(self, address: int) -> None:
         """Record a store (write-allocate in both levels, latency hidden by the LSQ)."""
-        self.l1.access(address)
-        self.l2.access(address)
+        _touch(self.l1, address)
+        _touch(self.l2, address)
+
+    def snapshot(self) -> tuple:
+        """Both levels' tags: ``{set index: tags in LRU order}`` of tuples."""
+        return (
+            {index: tuple(ways) for index, ways in self.l1._sets.items()},
+            {index: tuple(ways) for index, ways in self.l2._sets.items()},
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Load a :meth:`snapshot` into fresh per-set lists; zero the statistics.
+
+        Tags are the LRU model's whole state, so this hierarchy then behaves
+        exactly like the one (of the same :attr:`geometry`) it was taken from.
+        """
+        l1_sets, l2_sets = snapshot
+        self.l1._sets = {index: list(ways) for index, ways in l1_sets.items()}
+        self.l2._sets = {index: list(ways) for index, ways in l2_sets.items()}
+        self.l1.reset_stats()
+        self.l2.reset_stats()
 
     def summary(self) -> Dict[str, float]:
         """Flat statistics dictionary for reports."""

@@ -23,9 +23,9 @@ numba-compatible form; the two differ only in data-structure realisation:
   replacement arithmetic as the object models).
 
 **Bit-identity.**  When numba is absent the very same function body runs as
-plain Python (the ``_scan_last_writers`` convention), and the jit parity
-suite executes it that way (``FORCE_PURE``) against the interpreter and the
-fused Python tier -- so the semantics of the transcription are pinned in
+plain Python (the guarded ``numba.njit`` wrap after the loop definitions is
+skipped), and the jit parity suite executes it that way (``FORCE_PURE``)
+against the interpreter and the fused Python tier -- so the semantics of the transcription are pinned in
 every environment, and the numba leg of CI only has to establish that
 compilation preserves them (integer/bool/float64 array arithmetic, on which
 numba follows CPython semantics, including floor division).

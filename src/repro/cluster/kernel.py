@@ -16,9 +16,9 @@ object graph.  The design is two-tier (see DESIGN.md):
   preallocated parallel arrays indexed by *record slot* (µops and copy µops
   share one slot space; slot order equals creation order, so the ready heaps
   hold bare ints).  The per-trace dependence structure is precomputed once
-  (:meth:`~repro.uops.compiled.CompiledTrace.dependency_plan`, optionally
-  numba-jitted) and idle stretches are skipped in bulk exactly as the
-  interpreter does.
+  with whole-array numpy operations
+  (:meth:`~repro.uops.compiled.CompiledTrace.dependency_plan`) and idle
+  stretches are skipped in bulk exactly as the interpreter does.
 
 A third tier -- the **compiled steering tier** -- removes the per-µop Python
 frames entirely for policies that declare their decision function: a policy
@@ -50,7 +50,7 @@ from repro.steering.base import (
     SteeringContext,
     SteeringPolicy,
 )
-from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
+from repro.uops.compiled import NO_ANNOTATION, CompiledTrace, CompiledUopView
 
 try:  # pragma: no cover - exercised only where numba is installed (CI matrix)
     import numba  # noqa: F401
@@ -246,9 +246,9 @@ class VectorizedKernel(SteeringContext):
     def bind(self, compiled: CompiledTrace) -> None:
         """Hoist the per-µop columns and the dependence plan of ``compiled``.
 
-        All hoists are shared caches on the trace (the interpreter uses the
-        same ones), so binding the same trace to many processors -- the batch
-        scheduler's layout -- pays the materialisation once.
+        All hoists are shared caches on the trace, so binding the same trace
+        to many processors -- the batch scheduler's layout -- pays the
+        materialisation once.
         """
         plan = compiled.dependency_plan()
         self._n = len(compiled)
@@ -276,7 +276,6 @@ class VectorizedKernel(SteeringContext):
         config = proc.config
         num_clusters = self.num_clusters
         metrics = proc.metrics
-        view = proc._view
         steering = proc.steering
 
         # Compiled steering tier: resolve the policy's lowering for this run.
@@ -290,6 +289,8 @@ class VectorizedKernel(SteeringContext):
             if proc.fused_steering
             else (None, _FORM_CALLBACK)
         )
+        # Fused forms read the columns directly; only callbacks need a view.
+        view = CompiledUopView(self._compiled) if form == _FORM_CALLBACK else None
         if proc.kernel == "vectorized-jit" and form != _FORM_CALLBACK:
             # Lowered policy on the jit kernel: the whole inner loop runs in
             # :mod:`repro.cluster.jitloop` when numba is available (cache

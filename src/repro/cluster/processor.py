@@ -199,9 +199,13 @@ class ClusteredProcessor(SteeringContext):
 
         This is the whole point of the compiled representation: after this,
         the per-cycle loops never call a property, classify a register or
-        convert an enum -- they index (see DESIGN.md).
+        convert an enum -- they index (see DESIGN.md).  A vectorized
+        processor binds only the kernel's hoists.
         """
         self._num_uops = len(compiled)
+        if self._vkernel is not None:
+            self._vkernel.bind(compiled)
+            return
         self._u_queue = compiled.queue_kinds()
         self._u_latency = compiled.latency_list()
         self._u_is_memory = compiled.is_memory_list()
@@ -212,8 +216,6 @@ class ClusteredProcessor(SteeringContext):
         self._u_dests = compiled.dest_tuples()
         self._u_usrcs = compiled.unique_src_tuples()
         self._u_dest_counts = compiled.dest_kind_counts(self.register_space)
-        if self._vkernel is not None:
-            self._vkernel.bind(compiled)
 
     # ------------------------------------------------ SteeringContext interface --
     @property
@@ -292,7 +294,9 @@ class ClusteredProcessor(SteeringContext):
         a fresh processor's :meth:`run` of the same trace (the batch
         determinism suite pins this).  Only the steering-annotation columns
         are re-read each run: callers may ``annotate_from`` the compiled
-        trace between runs.
+        trace between runs.  The policy's µop view is built per run, and only
+        for callback policies (fused ones never read it); warmed caches are
+        restored from the trace's per-geometry snapshot (:meth:`_warm_caches`).
         """
         compiled = self._bound
         if compiled is None:
@@ -301,17 +305,17 @@ class ClusteredProcessor(SteeringContext):
             self.steering = steering
         self._reset_state()
         self._num_uops = len(compiled)  # _reset_state clears the fetch window
-        # Fresh per run, not per bind: the view snapshots annotation lists
-        # (and reconstructs statics from them), which change between the runs
-        # of a batch.
-        self._view = CompiledUopView(compiled)
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         if self._vkernel is not None:
-            # Cache warm-up is owned by the kernel: the jitted fast path
-            # replays the access plan inside its own array-form cache model,
-            # so warming the object model here would double the cost.
+            # The kernel owns the view and the cache warm-up: the jitted fast
+            # path replays the access plan inside its own array-form cache
+            # model, so warming the object model here would double the cost.
             self._vkernel.run(limit)
         else:
+            # Fresh per run, not per bind: the view snapshots annotation
+            # lists (and reconstructs statics from them), which change
+            # between the runs of a batch.
+            self._view = CompiledUopView(compiled)
             if self.config.warm_caches:
                 self._warm_caches(compiled)
             idle_skip = self.idle_skip
@@ -360,17 +364,24 @@ class ClusteredProcessor(SteeringContext):
         This models the steady state deep inside a PinPoints region: capacity
         and conflict behaviour are preserved (the working set still may not
         fit), but one-time compulsory misses do not dominate the short trace.
+        The warmed tags depend only on the trace and the memory geometry, so
+        the first warm-up per geometry replays the access plan and keeps a
+        snapshot on the trace, which every run restores by copy.
         """
-        addresses, loads = compiled.memory_access_plan()
-        load_latency = self.memory.load_latency
-        store_access = self.memory.store_access
-        for address, is_load in zip(addresses, loads):
-            if is_load:
-                load_latency(address)
-            else:
-                store_access(address)
-        self.memory.l1.reset_stats()
-        self.memory.l2.reset_stats()
+        memory = self.memory
+
+        def replay():
+            addresses, loads = compiled.memory_access_plan()
+            load_latency = memory.load_latency
+            store_access = memory.store_access
+            for address, is_load in zip(addresses, loads):
+                if is_load:
+                    load_latency(address)
+                else:
+                    store_access(address)
+            return memory.snapshot()
+
+        memory.restore(compiled.warm_state(memory.geometry, replay))
 
     def _finished(self) -> bool:
         return (

@@ -46,6 +46,16 @@ if TYPE_CHECKING:  # import at type-check time only: repro.experiments imports
 #: configuration identities replaced the Table 3 base-name identities.)
 CACHE_SCHEMA_VERSION = 2
 
+#: SHA-256 of ``tests/golden/golden_metrics.json`` per schema version.
+#: Re-recorded goldens mean the simulator's output changed, so cached metrics
+#: are stale: bump :data:`CACHE_SCHEMA_VERSION` and add the new hash under the
+#: new version in the same change (``tests/test_cache_schema.py`` fails until
+#: the current version's hash matches, and no two versions may share one).
+#: Entries are a record: add one per version, never edit an old one.
+GOLDEN_METRICS_SHA256 = {
+    2: "a0488fa5d13c70d5f3e8780bbfb5868c510143ea40b6490af137c84386a4e3a4",
+}
+
 
 def _canonical_json(payload: object) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace drift)."""

@@ -36,14 +36,9 @@ round-trip property the test suite pins.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed (CI matrix)
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - the default environment
-    _njit = None
 
 from repro.uops.opcodes import (
     IssueQueueKind,
@@ -92,42 +87,43 @@ def _uncsr(offsets: np.ndarray, flat: np.ndarray) -> List[Tuple[int, ...]]:
     return [tuple(values[bounds[i]:bounds[i + 1]]) for i in range(len(bounds) - 1)]
 
 
-def _scan_last_writers(n, usrc_offsets, usrc_regs, dest_offsets, dest_regs, num_regs):
+def _last_writers(trace: "CompiledTrace") -> Tuple[np.ndarray, np.ndarray]:
     """Map every deduplicated source operand to the definition that produces it.
 
-    A *definition id* is a position in the destination CSR: definition ``d``
-    is the ``dest_regs[d]`` write of µop ``i`` where
-    ``dest_offsets[i] <= d < dest_offsets[i + 1]``.  The scan walks the trace
-    in program order keeping the last definition of every architectural
-    register; sources with no prior in-trace writer (live-ins) are dropped --
-    the rename table marks live-ins available in every cluster, so dispatch
-    planning never waits on them.  Returns the dependence lists in CSR form
-    (``dep_offsets``, ``dep_defs``), preserving the first-occurrence source
-    order ``_try_dispatch`` plans in.
-
-    The body is a plain loop over integer arrays so that, when numba is
-    available, it is JIT-compiled as-is; the pure-Python execution of the same
-    code is the fallback (the result is bit-for-bit the same either way, and
-    it is computed once per trace and cached).
+    Definition ``d`` is position ``d`` of the destination CSR.  Source rows
+    are deduplicated in first-occurrence order (the order ``_try_dispatch``
+    plans in); source ``r`` of µop ``i`` maps to the last definition of ``r``
+    with an id below ``dest_offsets[i]``, i.e. by an earlier µop.  Sources
+    without one (live-ins, ready in every cluster) are dropped.  Returns the
+    dependence lists in CSR form ``(dep_offsets, dep_defs)``.
     """
-    last = np.full(num_regs, -1, dtype=np.int64)
+    n, dest_offsets, dest_regs = len(trace), trace.dest_offsets, trace.dest_regs
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(trace.src_offsets))
+    regs = trace.src_regs.astype(np.int64)
+    # First occurrences: the lexsort is stable, so within each run of equal
+    # (row, register) pairs the head is the earliest source position.
+    order = np.lexsort((regs, rows))
+    sorted_rows, sorted_regs = rows[order], regs[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (sorted_regs[1:] != sorted_regs[:-1])
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = head
+    rows, regs = rows[keep], regs[keep]
+    # Last writers: definitions sorted by the composite key (register,
+    # definition id); the writer of source ``r`` of µop ``i`` is the greatest
+    # key below (r, dest_offsets[i]), provided it belongs to register ``r``.
+    # int32 registers times fewer than 2**31 definitions cannot overflow int64.
+    stride = len(dest_regs) + 1
+    by_reg = np.argsort(dest_regs, kind="stable")
+    keys = dest_regs[by_reg].astype(np.int64) * stride + by_reg
+    pos = np.searchsorted(keys, regs * stride + dest_offsets[rows]) - 1
+    found = pos >= 0
+    rows, regs, writers = rows[found], regs[found], by_reg[pos[found]]
+    found = dest_regs[writers] == regs
+    rows, writers = rows[found], writers[found].astype(np.int64)
     dep_offsets = np.zeros(n + 1, dtype=np.int64)
-    dep_defs = np.empty(len(usrc_regs), dtype=np.int64)
-    filled = 0
-    for i in range(n):
-        for j in range(usrc_offsets[i], usrc_offsets[i + 1]):
-            d = last[usrc_regs[j]]
-            if d >= 0:
-                dep_defs[filled] = d
-                filled += 1
-        dep_offsets[i + 1] = filled
-        for d in range(dest_offsets[i], dest_offsets[i + 1]):
-            last[dest_regs[d]] = d
-    return dep_offsets, dep_defs[:filled]
-
-
-if _njit is not None:  # pragma: no cover - only where numba is installed
-    _scan_last_writers = _njit(cache=False)(_scan_last_writers)
+    np.cumsum(np.bincount(rows, minlength=n), out=dep_offsets[1:])
+    return dep_offsets, writers
 
 
 class DependencePlan(NamedTuple):
@@ -403,6 +399,14 @@ class CompiledTrace:
             lambda: [None if v == NO_ANNOTATION else v for v in self.static_cluster.tolist()],
         )
 
+    def _dest_kinds(self, register_space) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-µop INT and FP destination counts as int64 arrays."""
+        dest_offsets = self.dest_offsets
+        running = np.zeros(len(self.dest_regs) + 1, dtype=np.int64)
+        np.cumsum(self.dest_regs >= register_space.num_int, out=running[1:])
+        dest_fp = running[dest_offsets[1:]] - running[dest_offsets[:-1]]
+        return np.diff(dest_offsets) - dest_fp, dest_fp
+
     def dest_kind_counts(self, register_space) -> List[Tuple[int, int]]:
         """Per-µop ``(int, fp)`` destination counts for the given register space.
 
@@ -412,12 +416,8 @@ class CompiledTrace:
         key = f"dest_counts_{register_space.num_int}_{register_space.num_fp}"
 
         def build() -> List[Tuple[int, int]]:
-            boundary = register_space.num_int
-            counts = []
-            for dests in self.dest_tuples():
-                fp = sum(1 for reg in dests if reg >= boundary)
-                counts.append((len(dests) - fp, fp))
-            return counts
+            dest_int, dest_fp = self._dest_kinds(register_space)
+            return list(zip(dest_int.tolist(), dest_fp.tolist()))
 
         return self._cached(key, build)
 
@@ -432,6 +432,14 @@ class CompiledTrace:
             return (self.address[index].tolist(), self.is_load[index].tolist())
 
         return self._cached("memory_plan", build)
+
+    def warm_state(self, geometry: Tuple[int, ...], replay: Callable[[], object]) -> object:
+        """Warmed cache state for memory ``geometry``: ``replay()`` once, then cached.
+
+        Annotation-independent like the dependence plan, so it survives
+        :meth:`annotate_from`.
+        """
+        return self._cached(f"warm_{geometry}", replay)
 
     def dispatch_meta(self, register_space) -> List[tuple]:
         """Per-µop fused dispatch metadata for the vectorized kernel.
@@ -451,7 +459,7 @@ class CompiledTrace:
 
         def build() -> List[tuple]:
             plan = self.dependency_plan()
-            counts = self.dest_kind_counts(register_space)
+            dest_int, dest_fp = self._dest_kinds(register_space)
             dest_offsets = plan.dest_offsets
             return list(
                 zip(
@@ -460,8 +468,8 @@ class CompiledTrace:
                     self.is_load_list(),
                     self.is_branch_list(),
                     self.mispredicted_list(),
-                    [di for di, _ in counts],
-                    [df for _, df in counts],
+                    dest_int.tolist(),
+                    dest_fp.tolist(),
                     plan.deps,
                     dest_offsets[:-1],
                     dest_offsets[1:],
@@ -474,23 +482,17 @@ class CompiledTrace:
         """The dispatch metadata as :class:`DispatchMetaArrays` (jit kernel form).
 
         Keyed by register-space geometry like :meth:`dispatch_meta`; built
-        from the same dependence plan, so both forms describe the identical
-        structure (the jit parity suite pins this transitively by comparing
-        run metrics).
+        from the same last-writer arrays as the dependence plan, so both
+        forms describe the identical structure (the jit parity suite pins
+        this transitively by comparing run metrics).
         """
         key = f"dispatch_meta_arrays_{register_space.num_int}_{register_space.num_fp}"
 
         def build() -> DispatchMetaArrays:
             n = len(self)
-            plan = self.dependency_plan()
-            dep_offsets, dep_defs = _csr(plan.deps)
+            dep_offsets, dep_defs = _last_writers(self)
             dest_offsets = self.dest_offsets.astype(np.int64)
-            boundary = register_space.num_int
-            fp_flags = (self.dest_regs >= boundary).astype(np.int64)
-            running = np.zeros(len(fp_flags) + 1, dtype=np.int64)
-            np.cumsum(fp_flags, out=running[1:])
-            dest_fp = running[dest_offsets[1:]] - running[dest_offsets[:-1]]
-            dest_int = (dest_offsets[1:] - dest_offsets[:-1]) - dest_fp
+            dest_int, dest_fp = self._dest_kinds(register_space)
             counts = np.diff(dest_offsets)
             return DispatchMetaArrays(
                 queue=self.queue.astype(np.int64),
@@ -504,7 +506,7 @@ class CompiledTrace:
                 src_offsets=self.src_offsets.astype(np.int64),
                 src_regs=self.src_regs.astype(np.int64),
                 dep_offsets=dep_offsets,
-                dep_defs=dep_defs.astype(np.int64),
+                dep_defs=dep_defs,
                 dest_offsets=dest_offsets,
                 def_uop=np.repeat(np.arange(n, dtype=np.int64), counts),
                 def_reg=self.dest_regs.astype(np.int64),
@@ -529,24 +531,11 @@ class CompiledTrace:
         batch, like the other dynamic-column caches.
         """
         def build() -> DependencePlan:
-            n = len(self)
-            usrc_offsets, usrc_regs = _csr(self.unique_src_tuples())
-            num_regs = 1 + int(
-                max(
-                    self.src_regs.max(initial=-1),
-                    self.dest_regs.max(initial=-1),
-                )
-            )
-            dep_offsets, dep_defs = _scan_last_writers(
-                n, usrc_offsets, usrc_regs, self.dest_offsets, self.dest_regs,
-                max(num_regs, 1),
-            )
-            deps = _uncsr(dep_offsets, dep_defs)
+            dep_offsets, dep_defs = _last_writers(self)
             counts = np.diff(self.dest_offsets)
-            def_uop = np.repeat(np.arange(n, dtype=np.int64), counts).tolist()
             return DependencePlan(
-                deps=deps,
-                def_uop=def_uop,
+                deps=_uncsr(dep_offsets, dep_defs),
+                def_uop=np.repeat(np.arange(len(self), dtype=np.int64), counts).tolist(),
                 def_reg=self.dest_regs.tolist(),
                 dest_offsets=self.dest_offsets.tolist(),
             )
