@@ -18,7 +18,8 @@
   - :mod:`repro.analysis.detlint` (DET1xx) -- determinism hazards that
     break the bit-identity contract.
   - :mod:`repro.analysis.parlint` (PAR2xx) -- kernel-twin / lowering
-    consistency across the fused dispatch, the jit twin and ``SPEC_FORMS``.
+    consistency between the fused dispatch, the compiled trace and
+    ``SPEC_FORMS``.
   - :mod:`repro.analysis.lifelint` (RES3xx) -- resource lifecycles in the
     shm/pool substrate.
 

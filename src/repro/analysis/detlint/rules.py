@@ -167,9 +167,9 @@ _SET_METHODS = frozenset(
 _ORDER_MATERIALISERS = frozenset({"list", "tuple", "enumerate"})
 
 #: Optional-accelerator packages whose import must be guarded (DET111).
-#: These are deliberately absent from the baseline environment; the jitted
-#: modules keep a pure-Python twin and select it at run time, never at
-#: import time.
+#: These are deliberately absent from the baseline environment; a module
+#: that uses one must keep a pure-Python twin and select it at run time,
+#: never at import time.
 _ACCEL_MODULES = frozenset({"numba", "cupy", "numexpr", "pycuda", "triton"})
 
 #: Exception names whose handler sanctions an optional import (DET111).

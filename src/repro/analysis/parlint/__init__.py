@@ -10,7 +10,6 @@ from repro.analysis.parlint.rules import (
     PARLINT_PASS,
     RULES,
     RULES_BY_ID,
-    SKELETON_ALLOWLIST,
     extract_models,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "PARLINT_PASS",
     "RULES",
     "RULES_BY_ID",
-    "SKELETON_ALLOWLIST",
     "extract_models",
 ]

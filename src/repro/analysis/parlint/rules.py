@@ -1,11 +1,10 @@
 """parlint: cross-implementation consistency of the kernel twins (PAR2xx).
 
-The bit-identity contract is implemented three times: the interpreter, the
-vectorized kernel's fused dispatch (``cluster/kernel.py``) and the jitted
-inner loop (``cluster/jitloop.py``).  All three are driven by the closed
-lowering vocabulary ``SPEC_FORMS`` (``steering/base.py``) and by the
-structure-of-arrays IR (``uops/compiled.py``).  Each of those couplings is a
-*convention*, not an import: adding a steering form, a trace column or a
+The bit-identity contract is implemented twice: the interpreter and the
+vectorized kernel's fused dispatch (``cluster/kernel.py``).  Both are driven
+by the closed lowering vocabulary ``SPEC_FORMS`` (``steering/base.py``) and
+by the structure-of-arrays IR (``uops/compiled.py``).  Each of those
+couplings is a *convention*, not an import: adding a steering form, a trace column or a
 ``dispatch_meta`` field requires edits in several files that nothing forces
 to happen together.  The PR 7 ride-along IndexError and the PR 8 ``_FORM_*``
 fan-out both came from exactly this kind of silent drift.
@@ -15,9 +14,9 @@ parlint checks the couplings at the AST level, cross-file:
 * **PAR201** every ``SPEC_FORMS`` entry has a ``_FORM_* = _FORM_CODES[...]``
   constant in ``cluster.kernel`` (and every ``_FORM_CODES`` key is a real
   form).
-* **PAR202** the fused steering dispatch chain -- in ``cluster.kernel`` and
-  in ``cluster.jitloop`` -- has a branch (or the single trailing ``else``)
-  for every non-callback ``_FORM_*`` constant.
+* **PAR202** the fused steering dispatch chain in ``cluster.kernel`` has a
+  branch (or the single trailing ``else``) for every non-callback ``_FORM_*``
+  constant.
 * **PAR203** every ``CompiledSteeringSpec(form="...")`` literal, anywhere,
   names a ``SPEC_FORMS`` member.
 * **PAR204** the ``dispatch_meta()`` producer packs exactly as many fields
@@ -25,9 +24,6 @@ parlint checks the couplings at the AST level, cross-file:
 * **PAR205** detlint's ``TRACE_COLUMN_ATTRS`` equals
   ``CompiledTrace.STORED_FIELDS`` (``stored_columns()`` iterates
   ``STORED_FIELDS`` directly, so the pair covers all three views).
-* **PAR206** per steering form, the jit twin's branch has the same
-  control-flow skeleton (loop/branch/break/continue counts) as the pure
-  twin's, modulo the documented numba-only idiom allowlist below.
 
 Modules are recognized by dotted-name *suffix* (``cluster.kernel`` etc.), so
 fixture trees exercise the same code paths as the real repo.  Cross-file
@@ -53,7 +49,6 @@ __all__ = [
     "PARLINT_PASS",
     "RULES",
     "RULES_BY_ID",
-    "SKELETON_ALLOWLIST",
     "extract_models",
 ]
 
@@ -93,34 +88,13 @@ RULES: Tuple[Rule, ...] = (
         "STORED_FIELDS or DET109 stops guarding new columns (the PR 7 "
         "sync test, promoted to a rule)",
     ),
-    Rule(
-        "PAR206",
-        "twin-skeleton-drift",
-        "per steering form, the jitted twin's branch must keep the pure "
-        "twin's control-flow skeleton (loops/branches/breaks/continues); "
-        "a shape change is a transcription divergence unless it is on the "
-        "documented numba-idiom allowlist",
-    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in RULES}
 
-#: Documented numba-only transcription idioms (PAR206): per matched branch
-#: label, the allowed (loops, branches, breaks, continues) delta of the jit
-#: twin relative to the pure twin.
-#:
-#: * ``_FORM_DEP`` (the trailing ``else`` of both chains): the pure twin
-#:   selects the best cluster with ``list.index(best_count)``; numba has no
-#:   ``list.index`` over reflected lists, so the jit twin lowers it to a
-#:   linear scan -- one extra For, one extra If, one extra Break.
-SKELETON_ALLOWLIST: Dict[str, Tuple[int, int, int, int]] = {
-    "_FORM_DEP": (1, 1, 1, 0),
-}
-
 #: Module-name suffixes of the twins parlint reconciles.
 _ROLE_SPEC = "steering.base"
 _ROLE_KERNEL = "cluster.kernel"
-_ROLE_JIT = "cluster.jitloop"
 _ROLE_COMPILED = "uops.compiled"
 _ROLE_COLUMN_TABLE = "analysis.detlint.rules"
 
@@ -131,43 +105,18 @@ _ROLE_COLUMN_TABLE = "analysis.detlint.rules"
 
 
 @dataclass
-class Skeleton:
-    """Control-flow shape of one dispatch branch."""
-
-    loops: int = 0
-    branches: int = 0
-    breaks: int = 0
-    continues: int = 0
-
-    def delta(self, other: "Skeleton") -> Tuple[int, int, int, int]:
-        return (
-            self.loops - other.loops,
-            self.branches - other.branches,
-            self.breaks - other.breaks,
-            self.continues - other.continues,
-        )
-
-    def render(self) -> str:
-        return (
-            f"loops={self.loops} branches={self.branches} "
-            f"breaks={self.breaks} continues={self.continues}"
-        )
-
-
-@dataclass
 class ChainModel:
     """One ``if form == _FORM_X: ... elif ...: ... else:`` dispatch chain."""
 
     path: str
     line: int
-    #: ``[(constant name, line, skeleton), ...]`` in chain order.
-    branches: List[Tuple[str, int, Skeleton]] = field(default_factory=list)
+    #: ``[(constant name, line), ...]`` in chain order.
+    branches: List[Tuple[str, int]] = field(default_factory=list)
     else_line: Optional[int] = None
-    else_skeleton: Optional[Skeleton] = None
 
     @property
     def handled(self) -> frozenset:
-        return frozenset(name for name, _, _ in self.branches)
+        return frozenset(name for name, _ in self.branches)
 
 
 @dataclass
@@ -187,15 +136,6 @@ class KernelModel:
     chain: Optional[ChainModel] = None
     unpack_line: Optional[int] = None
     unpack_arity: Optional[int] = None
-
-
-@dataclass
-class JitModel:
-    path: str
-    #: ``_FORM_*`` names imported from the kernel (the jit twin's vocabulary).
-    imported: Tuple[str, ...] = ()
-    import_line: int = 1
-    chain: Optional[ChainModel] = None
 
 
 @dataclass
@@ -229,7 +169,6 @@ class Models:
 
     spec: Optional[SpecFormsModel] = None
     kernel: Optional[KernelModel] = None
-    jit: Optional[JitModel] = None
     compiled: Optional[CompiledModel] = None
     column_table: Optional[ColumnTableModel] = None
     uses: List[SpecUse] = field(default_factory=list)
@@ -290,26 +229,6 @@ def _match_form_test(test: ast.AST) -> Optional[str]:
     return None
 
 
-def _skeleton(stmts: List[ast.stmt]) -> Skeleton:
-    """Loop/branch/break/continue counts of a branch body.
-
-    ``IfExp`` counts as a branch so the pure twin's conditional expressions
-    and the jit twin's if/else statements (numba-friendlier) compare equal.
-    """
-    skel = Skeleton()
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                skel.loops += 1
-            elif isinstance(node, (ast.If, ast.IfExp)):
-                skel.branches += 1
-            elif isinstance(node, ast.Break):
-                skel.breaks += 1
-            elif isinstance(node, ast.Continue):
-                skel.continues += 1
-    return skel
-
-
 def _extract_chains(tree: ast.Module, path: str) -> List[ChainModel]:
     """Every ``form == _FORM_*`` if/elif chain in the module, heads only."""
     elif_continuations: List[ast.If] = []
@@ -333,7 +252,7 @@ def _extract_chains(tree: ast.Module, path: str) -> List[ChainModel]:
         node: ast.If = head
         while True:
             const = _match_form_test(node.test)
-            chain.branches.append((const, node.lineno, _skeleton(node.body)))
+            chain.branches.append((const, node.lineno))
             orelse = node.orelse
             if (
                 len(orelse) == 1
@@ -344,7 +263,6 @@ def _extract_chains(tree: ast.Module, path: str) -> List[ChainModel]:
                 continue
             if orelse:
                 chain.else_line = orelse[0].lineno
-                chain.else_skeleton = _skeleton(orelse)
             break
         chains.append(chain)
     return chains
@@ -353,8 +271,8 @@ def _extract_chains(tree: ast.Module, path: str) -> List[ChainModel]:
 def _dispatch_chain(tree: ast.Module, path: str) -> Optional[ChainModel]:
     """The fused dispatch chain: the longest ``form ==`` chain in the module.
 
-    Both kernel files also contain short per-form precomputation and
-    validation chains; the dispatch chain dominates them by branch count.
+    The kernel also contains short per-form precomputation and validation
+    chains; the dispatch chain dominates them by branch count.
     """
     chains = _extract_chains(tree, path)
     if not chains:
@@ -402,20 +320,6 @@ def _extract_kernel(tree: ast.Module, path: str) -> KernelModel:
                 if model.unpack_arity is None or len(target.elts) > model.unpack_arity:
                     model.unpack_arity = len(target.elts)
                     model.unpack_line = node.lineno
-    model.chain = _dispatch_chain(tree, path)
-    return model
-
-
-def _extract_jit(tree: ast.Module, path: str) -> JitModel:
-    model = JitModel(path=path)
-    imported: List[str] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name.startswith("_FORM_"):
-                    imported.append(alias.asname or alias.name)
-                    model.import_line = node.lineno
-    model.imported = tuple(imported)
     model.chain = _dispatch_chain(tree, path)
     return model
 
@@ -485,8 +389,6 @@ def extract_models(
         models.spec = _extract_spec(tree, path) or models.spec
     if module_name.endswith(_ROLE_KERNEL):
         models.kernel = _extract_kernel(tree, path)
-    if module_name.endswith(_ROLE_JIT):
-        models.jit = _extract_jit(tree, path)
     if module_name.endswith(_ROLE_COMPILED):
         models.compiled = _extract_compiled(tree, path)
     if module_name.endswith(_ROLE_COLUMN_TABLE):
@@ -531,24 +433,29 @@ def _check_spec_constants(models: Models) -> List[Finding]:
     return findings
 
 
-def _check_chain_coverage(
-    chain: Optional[ChainModel], expected: frozenset, path: str, default_line: int
-) -> List[Finding]:
+def _check_dispatch_coverage(models: Models) -> List[Finding]:
+    kernel = models.kernel
+    if kernel is None:
+        return []
+    expected = frozenset(
+        name for name, form in kernel.constants.items() if form is not None
+    )
     if not expected:
         return []
+    chain = kernel.chain
     if chain is None:
         return [
             Finding(
                 "PAR202",
-                path,
-                default_line,
+                kernel.path,
+                kernel.constants_line,
                 "no `form == _FORM_*` dispatch chain found, but "
                 f"{len(expected)} form constants are in scope",
             )
         ]
     handled = {name for name in chain.handled if name != "_FORM_CALLBACK"}
     missing = sorted(expected - handled)
-    allowed = 1 if chain.else_skeleton is not None else 0
+    allowed = 1 if chain.else_line is not None else 0
     if len(missing) > allowed:
         return [
             Finding(
@@ -562,33 +469,6 @@ def _check_chain_coverage(
             )
         ]
     return []
-
-
-def _check_dispatch_coverage(models: Models) -> List[Finding]:
-    findings: List[Finding] = []
-    if models.kernel is not None:
-        expected = frozenset(
-            name
-            for name, form in models.kernel.constants.items()
-            if form is not None
-        )
-        findings.extend(
-            _check_chain_coverage(
-                models.kernel.chain, expected, models.kernel.path,
-                models.kernel.constants_line,
-            )
-        )
-    if models.jit is not None:
-        # The jit twin's vocabulary is whatever it imports from the kernel:
-        # deleting a branch while the import stays is exactly the drift.
-        expected = frozenset(models.jit.imported)
-        findings.extend(
-            _check_chain_coverage(
-                models.jit.chain, expected, models.jit.path,
-                models.jit.import_line,
-            )
-        )
-    return findings
 
 
 def _check_spec_uses(models: Models) -> List[Finding]:
@@ -658,55 +538,6 @@ def _check_column_table(models: Models) -> List[Finding]:
     ]
 
 
-def _check_twin_skeletons(models: Models) -> List[Finding]:
-    findings: List[Finding] = []
-    kernel, jit = models.kernel, models.jit
-    if kernel is None or jit is None or kernel.chain is None or jit.chain is None:
-        return findings
-    pure = {
-        name: (line, skel)
-        for name, line, skel in kernel.chain.branches
-        if name != "_FORM_CALLBACK"
-    }
-    jitted = dict()
-    for name, line, skel in jit.chain.branches:
-        jitted[name] = (line, skel)
-    pairs: List[Tuple[str, Tuple[int, Skeleton], Tuple[int, Skeleton]]] = [
-        (name, pure[name], jitted[name]) for name in pure if name in jitted
-    ]
-    # Both chains end in a single else fallback covering the same form (the
-    # one constant with no explicit branch); compare those under that label.
-    if kernel.chain.else_skeleton is not None and jit.chain.else_skeleton is not None:
-        expected = frozenset(
-            name for name, form in kernel.constants.items() if form is not None
-        )
-        fallback = sorted(expected - set(pure) - {"_FORM_CALLBACK"})
-        label = fallback[0] if len(fallback) == 1 else "<else>"
-        pairs.append(
-            (
-                label,
-                (kernel.chain.else_line or 1, kernel.chain.else_skeleton),
-                (jit.chain.else_line or 1, jit.chain.else_skeleton),
-            )
-        )
-    for label, (pure_line, pure_skel), (jit_line, jit_skel) in pairs:
-        delta = jit_skel.delta(pure_skel)
-        allowed = SKELETON_ALLOWLIST.get(label, (0, 0, 0, 0))
-        if delta != (0, 0, 0, 0) and delta != allowed:
-            findings.append(
-                Finding(
-                    "PAR206",
-                    jit.path,
-                    jit_line,
-                    f"{label} branch skeleton drifted from the pure twin: "
-                    f"jit ({jit_skel.render()}) vs pure ({pure_skel.render()}) "
-                    f"at {kernel.path}:{pure_line}; delta {delta} is not on "
-                    "the numba-idiom allowlist",
-                )
-            )
-    return findings
-
-
 def check_models(models: Models) -> List[Finding]:
     """All cross-file findings for one scan's extracted models."""
     findings: List[Finding] = []
@@ -715,7 +546,6 @@ def check_models(models: Models) -> List[Finding]:
     findings.extend(_check_spec_uses(models))
     findings.extend(_check_meta_arity(models))
     findings.extend(_check_column_table(models))
-    findings.extend(_check_twin_skeletons(models))
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
@@ -739,7 +569,7 @@ PARLINT_PASS = register_pass(
         description=(
             "cross-implementation drift between the kernel twins: SPEC_FORMS "
             "lowering coverage, dispatch branch fan-out, dispatch_meta "
-            "arity, trace-column tables, twin branch skeletons"
+            "arity, trace-column tables"
         ),
         rules=RULES,
         scanner=_Scanner,

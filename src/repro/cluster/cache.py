@@ -23,11 +23,6 @@ class CacheStats:
     hits: int = 0
 
     @property
-    def misses(self) -> int:
-        """Number of misses."""
-        return self.accesses - self.hits
-
-    @property
     def hit_rate(self) -> float:
         """Hit rate in [0, 1] (1.0 when the cache was never accessed)."""
         return self.hits / self.accesses if self.accesses else 1.0

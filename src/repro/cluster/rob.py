@@ -56,10 +56,6 @@ class ReorderBuffer:
         """Oldest in-flight µop (next to commit), or ``None``."""
         return self._entries[0] if self._entries else None
 
-    def commit_head(self) -> object:
-        """Remove and return the oldest µop (caller checks it completed)."""
-        return self._entries.popleft()
-
     def commit_ready(self, width: int, is_completed) -> List[object]:
         """Retire up to ``width`` completed µops from the head, in order.
 

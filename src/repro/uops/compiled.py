@@ -150,44 +150,6 @@ class DependencePlan(NamedTuple):
         return len(self.def_uop)
 
 
-class DispatchMetaArrays(NamedTuple):
-    """The :meth:`CompiledTrace.dispatch_meta` facts as flat numpy arrays.
-
-    This is the marshalling format of the jitted inner loop
-    (:mod:`repro.cluster.jitloop`): where the Python-tier kernel wants lists
-    and tuples (scalar indexing of numpy arrays is slower in pure Python),
-    the jitted loop wants exactly the opposite -- contiguous typed arrays it
-    can index without boxing.  All integer arrays are ``int64`` and all flag
-    arrays are ``bool`` so the compiled loop is monomorphic.  Like the
-    dependence plan, everything here is annotation-independent, so one
-    instance is shared by every run of a trace.
-    """
-
-    #: Per-µop issue-queue kind (0=INT, 1=FP, 2=COPY).
-    queue: np.ndarray
-    #: Per-µop memory / load / branch / mispredict flags.
-    is_memory: np.ndarray
-    is_load: np.ndarray
-    is_branch: np.ndarray
-    mispredicted: np.ndarray
-    #: Per-µop INT / FP destination counts (register-space dependent).
-    dest_int: np.ndarray
-    dest_fp: np.ndarray
-    #: Per-µop functional-unit latency.
-    latency: np.ndarray
-    #: Source registers, duplicates preserved, CSR form (the steering view).
-    src_offsets: np.ndarray
-    src_regs: np.ndarray
-    #: Producer definition ids per µop, CSR form (the dependence plan).
-    dep_offsets: np.ndarray
-    dep_defs: np.ndarray
-    #: Definition ids owned by µop ``i``: ``[dest_offsets[i], dest_offsets[i+1])``.
-    dest_offsets: np.ndarray
-    #: Producing µop / written register of each definition id.
-    def_uop: np.ndarray
-    def_reg: np.ndarray
-
-
 def _dedup(row: Tuple[int, ...]) -> Tuple[int, ...]:
     """First-occurrence deduplication (the order ``_try_dispatch`` plans in)."""
     if len(row) < 2:
@@ -477,50 +439,6 @@ class CompiledTrace:
             )
 
         return self._cached(key, build)
-
-    def dispatch_meta_arrays(self, register_space) -> DispatchMetaArrays:
-        """The dispatch metadata as :class:`DispatchMetaArrays` (jit kernel form).
-
-        Keyed by register-space geometry like :meth:`dispatch_meta`; built
-        from the same last-writer arrays as the dependence plan, so both
-        forms describe the identical structure (the jit parity suite pins
-        this transitively by comparing run metrics).
-        """
-        key = f"dispatch_meta_arrays_{register_space.num_int}_{register_space.num_fp}"
-
-        def build() -> DispatchMetaArrays:
-            n = len(self)
-            dep_offsets, dep_defs = _last_writers(self)
-            dest_offsets = self.dest_offsets.astype(np.int64)
-            dest_int, dest_fp = self._dest_kinds(register_space)
-            counts = np.diff(dest_offsets)
-            return DispatchMetaArrays(
-                queue=self.queue.astype(np.int64),
-                is_memory=self.is_memory,
-                is_load=self.is_load,
-                is_branch=self.is_branch,
-                mispredicted=self.mispredicted,
-                dest_int=dest_int,
-                dest_fp=dest_fp,
-                latency=self.latency.astype(np.int64),
-                src_offsets=self.src_offsets.astype(np.int64),
-                src_regs=self.src_regs.astype(np.int64),
-                dep_offsets=dep_offsets,
-                dep_defs=dep_defs,
-                dest_offsets=dest_offsets,
-                def_uop=np.repeat(np.arange(n, dtype=np.int64), counts),
-                def_reg=self.dest_regs.astype(np.int64),
-            )
-
-        return self._cached(key, build)
-
-    def memory_access_plan_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`memory_access_plan` as ``(int64 addresses, bool is_load)`` arrays."""
-        def build() -> Tuple[np.ndarray, np.ndarray]:
-            index = np.flatnonzero(self.is_memory)
-            return (self.address[index].astype(np.int64), self.is_load[index])
-
-        return self._cached("memory_plan_arrays", build)
 
     def dependency_plan(self) -> DependencePlan:
         """The :class:`DependencePlan` of the trace (built once, then cached).

@@ -14,9 +14,8 @@ These tests pin that contract:
   and enabled, under every kernel, including the bulk accounting of
   mispredict-redirect stall cycles that the skip path performs,
 * the compiled steering tier: every builtin lowering (``compiled_spec``)
-  runs fused and un-fused, under ``vectorized`` and ``vectorized-jit``
-  (including the pure-Python transcription twin via ``jitloop.FORCE_PURE``),
-  and must be field-identical to the interpreter -- policy state included,
+  runs fused and un-fused on the vectorized kernel and must be
+  field-identical to the interpreter -- policy state included,
 * mid-batch fallback: a ``run_many`` sweep mixing lowered and un-lowered
   policies must match fresh per-policy interpreter runs.
 """
@@ -26,7 +25,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import jitloop
 from repro.cluster.config import ClusterConfig
 from repro.cluster.kernel import (
     DEFAULT_KERNEL,
@@ -90,11 +88,17 @@ class TestResolveKernel:
         with pytest.raises(ValueError):
             resolve_kernel()
 
-    def test_jit_kernel_accepted(self, monkeypatch):
+    def test_jit_kernel_rejected(self, monkeypatch):
+        # A removed kernel name must fail loudly, never fall back to another.
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel("vectorized-jit") == "vectorized-jit"
+        with pytest.raises(ValueError, match="'interpreter', 'vectorized'"):
+            resolve_kernel("vectorized-jit")
         monkeypatch.setenv(KERNEL_ENV, "vectorized-jit")
-        assert resolve_kernel() == "vectorized-jit"
+        with pytest.raises(ValueError) as excinfo:
+            resolve_kernel()
+        message = str(excinfo.value)
+        assert "'interpreter', 'vectorized'" in message
+        assert f"(from ${KERNEL_ENV})" in message
 
     def test_rejection_lists_valid_kernels(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
@@ -323,31 +327,18 @@ class TestCompiledSpecs:
 def _lowered_modes():
     """Every execution mode of the compiled steering tier.
 
-    ``(kernel, fused_steering, force_pure)`` tuples: the callback path
-    (``fused=False``), the fused array-tier fast path, and -- for the jit
-    kernel -- the pure-Python transcription twin (``jitloop.FORCE_PURE``),
-    which exercises ``jitloop._fused_loop_py`` even when numba is absent.
+    ``(kernel, fused_steering)`` tuples: the callback path (``fused=False``)
+    and the fused array-tier fast path.
     """
-    modes = []
-    for kernel in ("vectorized", "vectorized-jit"):
-        for fused in (False, True):
-            modes.append((kernel, fused, False))
-    modes.append(("vectorized-jit", True, True))
-    return modes
+    return [("vectorized", False), ("vectorized", True)]
 
 
-def _run_lowered_mode(compiled, policy_factory, config, kernel, fused, force_pure):
+def _run_lowered_mode(compiled, policy_factory, config, kernel, fused):
     """One simulation under a compiled-tier mode; returns (metrics, policy)."""
     policy = policy_factory()
     processor = ClusteredProcessor(config, policy, kernel=kernel)
     processor.fused_steering = fused
-    saved = jitloop.FORCE_PURE
-    jitloop.FORCE_PURE = force_pure
-    try:
-        metrics = processor.run(compiled)
-    finally:
-        jitloop.FORCE_PURE = saved
-    return metrics.as_dict(), policy
+    return processor.run(compiled).as_dict(), policy
 
 
 def _policy_state(policy):
@@ -360,7 +351,7 @@ def _policy_state(policy):
 
 
 class TestLoweredSteeringParity:
-    """The fused fast path and the jit loop replicate the callback path."""
+    """The fused fast path replicates the callback path."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -382,21 +373,18 @@ class TestLoweredSteeringParity:
         config = ClusterConfig(num_clusters=num_clusters, warm_caches=False)
         factory = _policy_factories()[policy]
         reference, ref_policy = _run_lowered_mode(
-            compiled, factory, config, "interpreter", True, False
+            compiled, factory, config, "interpreter", True
         )
         ref_state = _policy_state(ref_policy)
-        for kernel, fused, force_pure in _lowered_modes():
-            metrics, run_policy = _run_lowered_mode(
-                compiled, factory, config, kernel, fused, force_pure
-            )
-            mode = (kernel, fused, "pure" if force_pure else "auto")
+        for mode in _lowered_modes():
+            metrics, run_policy = _run_lowered_mode(compiled, factory, config, *mode)
             assert metrics == reference, f"{policy} diverged under {mode}"
             assert _policy_state(run_policy) == ref_state, (
                 f"{policy} final state diverged under {mode}"
             )
 
     def test_lowered_parity_under_sanitizer(self, monkeypatch):
-        """The fused and jit paths never write the frozen bound trace."""
+        """The fused path never writes the frozen bound trace."""
         monkeypatch.setenv(SANITIZE_ENV, "1")
         program, trace = WorkloadGenerator(profile_for("164.gzip-1")).generate_trace(
             300, phase=0
@@ -407,15 +395,12 @@ class TestLoweredSteeringParity:
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         for name, factory in _policy_factories().items():
             reference, _ = _run_lowered_mode(
-                compiled, factory, config, "interpreter", True, False
+                compiled, factory, config, "interpreter", True
             )
-            for kernel, fused, force_pure in _lowered_modes():
-                metrics, _ = _run_lowered_mode(
-                    compiled, factory, config, kernel, fused, force_pure
-                )
+            for mode in _lowered_modes():
+                metrics, _ = _run_lowered_mode(compiled, factory, config, *mode)
                 assert metrics == reference, (
-                    f"{name} diverged under sanitizer in "
-                    f"{(kernel, fused, force_pure)}"
+                    f"{name} diverged under sanitizer in {mode}"
                 )
 
 
@@ -444,49 +429,10 @@ class TestMidTraceFallback:
             .as_dict()
             for policy in self._policies()
         ]
-        for kernel in ("vectorized", "vectorized-jit"):
-            policies = self._policies()
-            processor = ClusteredProcessor(config, policies[0], kernel=kernel)
-            batch = [m.as_dict() for m in processor.run_many(compiled, policies)]
-            assert batch == reference, f"mixed batch diverged under {kernel}"
-
-
-class TestJitTwinSelection:
-    """The jit kernel's twin selection: numba when present, Python otherwise."""
-
-    @pytest.mark.skipif(
-        jitloop.JIT_ENABLED, reason="numba installed: jitted loop is selected"
-    )
-    def test_without_numba_fused_python_twin_is_selected(self):
-        # ``jit_active()`` is False, so ``VectorizedKernel.run`` never
-        # delegates to jitloop and the fused Python loop serves as the twin;
-        # the transcription itself stays reachable via ``FORCE_PURE``.
-        assert not jitloop.jit_active()
-        assert jitloop._fused_loop is jitloop._fused_loop_py
-
-    @pytest.mark.skipif(
-        not jitloop.JIT_ENABLED, reason="numba not installed in this environment"
-    )
-    def test_with_numba_jitted_loop_is_selected(self):
-        assert jitloop.jit_active()
-        assert hasattr(jitloop._fused_loop, "py_func")
-        assert jitloop._fused_loop.py_func is jitloop._fused_loop_py
-
-    def test_force_pure_runs_the_transcription(self, small_trace):
-        _, trace = small_trace
-        saved = jitloop.FORCE_PURE
-        jitloop.FORCE_PURE = True
-        try:
-            assert jitloop.jit_active()
-            jitted = simulate_trace(
-                trace, OccupancyAwareSteering(), kernel="vectorized-jit"
-            )
-        finally:
-            jitloop.FORCE_PURE = saved
-        reference = simulate_trace(
-            trace, OccupancyAwareSteering(), kernel="interpreter"
-        )
-        assert jitted.as_dict() == reference.as_dict()
+        policies = self._policies()
+        processor = ClusteredProcessor(config, policies[0], kernel="vectorized")
+        batch = [m.as_dict() for m in processor.run_many(compiled, policies)]
+        assert batch == reference, "mixed batch diverged from fresh interpreter runs"
 
 
 class TestSimulateTraceKernelKnob:

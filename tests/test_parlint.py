@@ -7,7 +7,7 @@ Contracts pinned here:
   real module layout (``src/repro/cluster/kernel.py`` and friends under a
   tmp dir) because parlint recognizes the twins by module-name suffix.
 * **The acceptance mutation**: deleting one ``elif form == _FORM_*`` branch
-  from a copy of the real ``cluster/jitloop.py`` makes PAR202 fire at the
+  from a copy of the real ``cluster/kernel.py`` makes PAR202 fire at the
   dispatch-chain head while the pristine copy scans clean.
 * **The vocabulary property**: for any form vocabulary, a spec/kernel pair
   generated in sync extracts clean, and deleting any single ``_FORM_*``
@@ -29,7 +29,6 @@ from repro.analysis.framework import get_pass, scan_paths
 from repro.analysis.parlint.rules import (
     RULES,
     RULES_BY_ID,
-    SKELETON_ALLOWLIST,
     check_models,
     extract_models,
 )
@@ -38,12 +37,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 SPEC_PATH = "src/repro/steering/base.py"
 KERNEL_PATH = "src/repro/cluster/kernel.py"
-JIT_PATH = "src/repro/cluster/jitloop.py"
 COMPILED_PATH = "src/repro/uops/compiled.py"
 TABLE_PATH = "src/repro/analysis/detlint/rules.py"
 
-#: A minimal in-sync twin tree: three forms ("dep" rides both else arms, and
-#: the jit else carries exactly the allowlisted numba scan idiom).
+#: A minimal in-sync twin tree: three forms ("dep" rides the kernel's else).
 BASE_TREE = {
     SPEC_PATH: (
         'SPEC_FORMS = ("constant", "table", "dep")\n'
@@ -71,23 +68,6 @@ BASE_TREE = {
         "        out = dst\n"
         "    else:\n"
         "        out = wide\n"
-        "    return out\n"
-    ),
-    JIT_PATH: (
-        "from repro.cluster.kernel import _FORM_CONSTANT, _FORM_TABLE, _FORM_DEP\n"
-        "\n"
-        "\n"
-        "def _fused_loop(form, base, dst):\n"
-        "    if form == _FORM_CONSTANT:\n"
-        "        out = base\n"
-        "    elif form == _FORM_TABLE:\n"
-        "        out = dst\n"
-        "    else:\n"
-        "        out = 0\n"
-        "        for i in range(4):\n"
-        "            if i == 2:\n"
-        "                out = i\n"
-        "                break\n"
         "    return out\n"
     ),
     COMPILED_PATH: (
@@ -161,17 +141,18 @@ CASES = [
         bad_path=KERNEL_PATH,
         bad_line=6,
     ),
-    # The jit dispatch chain loses its TABLE branch while the import stays.
+    # The kernel's dispatch chain loses its TABLE branch while the constant
+    # stays (anchored at the chain head).
     Case(
         "PAR202",
         mutate(
             BASE_TREE,
-            JIT_PATH,
+            KERNEL_PATH,
             "    elif form == _FORM_TABLE:\n        out = dst\n",
             "",
         ),
-        bad_path=JIT_PATH,
-        bad_line=5,
+        bad_path=KERNEL_PATH,
+        bad_line=10,
     ),
     # A spec-form literal outside the closed vocabulary.
     Case(
@@ -219,21 +200,6 @@ CASES = [
         bad_path=TABLE_PATH,
         bad_line=1,
     ),
-    # The jit CONSTANT branch grows a loop the pure twin does not have.
-    Case(
-        "PAR206",
-        mutate(
-            BASE_TREE,
-            JIT_PATH,
-            "    if form == _FORM_CONSTANT:\n        out = base\n",
-            "    if form == _FORM_CONSTANT:\n"
-            "        out = base\n"
-            "        for i in range(2):\n"
-            "            out = out + i\n",
-        ),
-        bad_path=JIT_PATH,
-        bad_line=5,
-    ),
 ]
 
 
@@ -242,10 +208,6 @@ class TestBaseTreeIsInSync:
         result = scan_tree(tmp_path, BASE_TREE)
         assert result.errors == []
         assert [i.finding.render() for i in result.findings] == []
-
-    def test_allowlisted_jit_else_idiom_is_sanctioned(self):
-        # The jit else in BASE_TREE carries exactly the _FORM_DEP scan idiom.
-        assert SKELETON_ALLOWLIST["_FORM_DEP"] == (1, 1, 1, 0)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.rule}-{c.bad_line}")
@@ -269,7 +231,7 @@ class TestRuleCases:
 class TestRealTwinMutation:
     """The acceptance mutation: real files, one deleted dispatch branch."""
 
-    REAL_PATHS = (SPEC_PATH, KERNEL_PATH, JIT_PATH, COMPILED_PATH, TABLE_PATH)
+    REAL_PATHS = (SPEC_PATH, KERNEL_PATH, COMPILED_PATH, TABLE_PATH)
 
     def _real_tree(self):
         return {rel: (REPO / rel).read_text() for rel in self.REAL_PATHS}
@@ -279,23 +241,23 @@ class TestRealTwinMutation:
         assert result.errors == []
         assert [i.finding.render() for i in result.fresh] == []
 
-    def test_deleting_a_jit_branch_fires_par202_at_the_chain_head(self, tmp_path):
+    def test_deleting_a_kernel_branch_fires_par202_at_chain_head(self, tmp_path):
         files = self._real_tree()
         files = mutate(
             files,
-            JIT_PATH,
-            "                elif form == _FORM_TABLE:\n"
-            "                    cluster = table[index]\n",
+            KERNEL_PATH,
+            "                        elif form == _FORM_TABLE:\n"
+            "                            cluster = table[index]\n",
             "",
         )
         result = scan_tree(tmp_path, files)
         hits = [i.finding for i in result.fresh if i.finding.rule == "PAR202"]
         assert len(hits) == 1
-        assert hits[0].path.endswith(JIT_PATH)
+        assert hits[0].path.endswith(KERNEL_PATH)
         head_line = next(
             number
-            for number, text in enumerate(files[JIT_PATH].splitlines(), start=1)
-            if text.strip() == "if form == _FORM_OCC:"
+            for number, text in enumerate(files[KERNEL_PATH].splitlines(), start=1)
+            if text.strip() == "if form == _FORM_CALLBACK:"
         )
         assert hits[0].line == head_line
         assert "_FORM_TABLE" in hits[0].message
@@ -398,4 +360,4 @@ class TestVocabularyProperty:
 
     def test_rule_table_is_complete(self):
         assert [rule.rule_id for rule in RULES] == sorted(RULES_BY_ID)
-        assert len(RULES) == 6
+        assert len(RULES) == 5

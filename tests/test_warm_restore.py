@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster.cache import MemoryHierarchy
 from repro.cluster.config import ClusterConfig
-from repro.cluster.kernel import KERNEL_ENV
+from repro.cluster.kernel import KERNEL_ENV, KERNELS
 from repro.cluster.processor import ClusteredProcessor
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import _TRACE_MEMO, execute_batch, execute_job
@@ -26,7 +26,6 @@ from repro.uops.compiled import CompiledTrace
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 
-KERNELS = ("interpreter", "vectorized")
 #: Two memory geometries: Table 2's L1, and a smaller, less associative one.
 SMALL_L1 = (("l1_assoc", 2), ("l1_size_kb", 8))
 
@@ -128,9 +127,8 @@ def per_job_dumps(jobs):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_batch_alternating_memory_geometries_matches_per_job(monkeypatch, kernel):
-    # Pinned, not taken from the environment: on the jit kernel with numba the
-    # fused policies warm their own array-form caches and never reach
-    # ``warm_state``, so there would be no replays to count.
+    # ``execute_batch`` takes its kernel from the environment; pin it so each
+    # kernel's replays are counted under its own parameter.
     monkeypatch.setenv(KERNEL_ENV, kernel)
     jobs = alternating_jobs()
     geometries = {
