@@ -1,18 +1,16 @@
-"""Engine scheduling benchmarks: per-job, batched and shared-memory sweeps.
+"""Engine scheduling benchmarks: batched and shared-memory sweeps.
 
 The shape every paper figure reduces to -- few phase traces, a wide steering
 configuration axis -- is exactly what the batch scheduler amortises.  These
 benchmarks run sweeps through the real
-:class:`~repro.engine.parallel.ParallelRunner` in its scheduling modes,
-serial and with a worker pool, measuring what a fresh ``--no-cache`` CLI
-invocation would pay: each round clears the per-process trace memo and
-builds (and tears down) its own runner, so per-job parallel scheduling pays
-its characteristic per-worker trace acquisition while batched scheduling
-fetches the trace once and keeps it resident.
+:class:`~repro.engine.parallel.ParallelRunner`, serial and with a worker
+pool, measuring what a fresh ``--no-cache`` CLI invocation would pay: each
+round clears the per-process trace memo and builds (and tears down) its own
+runner, so the batch fetches its trace once and keeps it resident.
 
-The single-trace quartet below is the PR 4 batching headline (one trace,
-eight configurations).  The multi-trace pair is the shared-memory substrate
-headline (PR 5): a six-trace, four-configuration sweep executed four times
+The single-trace pair below tracks the batch scheduler's target shape (one
+trace, eight configurations).  The multi-trace pair is the shared-memory
+substrate headline (PR 5): a six-trace, four-configuration sweep executed four times
 on one persistent runner -- the recurring-sweep shape of the ablation
 studies.  On the pickle path every worker acquires each of its batches'
 traces itself, run after run (bounded only by its memo); on the
@@ -23,10 +21,9 @@ zero-copy, and every warm run finds every segment resident.
 this file's numbers (regenerate with ``pytest benchmarks/test_engine_sweep.py
 --benchmark-only --benchmark-json benchmarks/BENCH_engine.json``);
 ``scripts/check_bench_regression.py`` diffs a fresh run against it, warns on
->30 % throughput regressions, and checks both headlines: batched-vs-per-job
-(>=1.5x) and shared-memory-vs-pickle on the multi-trace sweep (target: at
-least matching, i.e. >=1.0x; the checker's floor is 0.85x so single-core CI
-noise does not cry wolf).
+>30 % throughput regressions, and checks the shared-memory-vs-pickle
+headline on the multi-trace sweep (target: at least matching, i.e. >=1.0x;
+the checker's floor is 0.85x so single-core CI noise does not cry wolf).
 """
 
 from __future__ import annotations
@@ -75,13 +72,11 @@ def _sweep_jobs() -> list:
     ]
 
 
-def _run_sweep(batching: bool, workers: int):
+def _run_sweep(workers: int):
     """One fresh-invocation sweep: new runner, cold memo, no caches."""
     jobs = _sweep_jobs()
     _TRACE_MEMO.clear()
-    runner = ParallelRunner(
-        max_workers=workers, cache=None, trace_root=None, batching=batching
-    )
+    runner = ParallelRunner(max_workers=workers, cache=None, trace_root=None)
     try:
         return runner.run(jobs)
     finally:
@@ -100,42 +95,21 @@ def _record(benchmark, results) -> None:
     assert all(metrics.committed_uops >= SWEEP_TRACE_LENGTH for metrics in results)
 
 
-def test_sweep_per_job_serial(benchmark):
-    """8-config single-trace sweep, per-job scheduling, no worker pool."""
-    results = benchmark.pedantic(
-        _run_sweep, args=(False, 1), rounds=3, iterations=1, warmup_rounds=1
-    )
-    benchmark.extra_info["mode"] = "per-job serial"
-    _record(benchmark, results)
-
-
 def test_sweep_batched_serial(benchmark):
-    """Same sweep, batched scheduling, no worker pool."""
+    """8-config single-trace sweep, no worker pool."""
     results = benchmark.pedantic(
-        _run_sweep, args=(True, 1), rounds=3, iterations=1, warmup_rounds=1
+        _run_sweep, args=(1,), rounds=3, iterations=1, warmup_rounds=1
     )
     benchmark.extra_info["mode"] = "batched serial"
     _record(benchmark, results)
 
 
-def test_sweep_per_job_parallel(benchmark):
-    """The sweep under per-job scheduling with a worker pool: every worker
-    acquires the trace on its own before simulating its share of the axis."""
-    results = benchmark.pedantic(
-        _run_sweep, args=(False, SWEEP_WORKERS), rounds=3, iterations=1, warmup_rounds=1
-    )
-    benchmark.extra_info["mode"] = "per-job parallel"
-    benchmark.extra_info["workers"] = SWEEP_WORKERS
-    _record(benchmark, results)
-
-
 def test_sweep_batched_parallel(benchmark):
-    """The sweep under batched scheduling: one batch task, one trace fetch,
-    eight simulations against the resident compiled trace.  The wall-clock
-    ratio against ``test_sweep_per_job_parallel`` is the batching speedup
-    recorded in BENCH_engine.json (>=1.5x on the reference machine)."""
+    """The sweep with a worker pool: one batch task, one trace fetch, eight
+    simulations against the resident compiled trace.  A lone batch runs
+    inline, so this should match ``test_sweep_batched_serial``."""
     results = benchmark.pedantic(
-        _run_sweep, args=(True, SWEEP_WORKERS), rounds=3, iterations=1, warmup_rounds=1
+        _run_sweep, args=(SWEEP_WORKERS,), rounds=3, iterations=1, warmup_rounds=1
     )
     benchmark.extra_info["mode"] = "batched parallel"
     benchmark.extra_info["workers"] = SWEEP_WORKERS

@@ -17,8 +17,6 @@ throughput.py`` run against ``benchmarks/BENCH_substrate.json`` -- and
 threshold (default 30 %).  It also recomputes the headlines and warns when
 any falls below its floor:
 
-* **batching** -- the wall-clock speedup of the batched parallel sweep over
-  per-job parallel scheduling (floor 1.5x, the PR 4 number),
 * **shared memory** -- the speedup of the shared-memory multi-trace sweep
   over the pickle-path multi-trace sweep (floor 0.85x: the substrate must at
   least match the PR 4 batched path; the sub-1.0 floor only absorbs
@@ -69,11 +67,6 @@ SNAPSHOT_PATH = REPO_ROOT / "benchmarks" / "BENCH_engine.json"
 BENCH_FILE = REPO_ROOT / "benchmarks" / "test_engine_sweep.py"
 ADAPTIVE_BENCH_FILE = REPO_ROOT / "benchmarks" / "test_engine_adaptive.py"
 SUBSTRATE_SNAPSHOT_PATH = REPO_ROOT / "benchmarks" / "BENCH_substrate.json"
-
-#: The benchmark pair whose wall-clock ratio is the batching headline.
-SPEEDUP_BASELINE = "test_sweep_per_job_parallel"
-SPEEDUP_SUBJECT = "test_sweep_batched_parallel"
-MIN_SPEEDUP = 1.5
 
 #: The pair whose ratio is the shared-memory substrate headline.
 SHM_BASELINE = "test_multi_trace_sweep_pickle"
@@ -351,9 +344,6 @@ def main(argv=None) -> int:
 
     warnings = compare_means(snapshot, fresh, args.threshold)
     print()
-    warnings += check_headline(
-        fresh, SPEEDUP_BASELINE, SPEEDUP_SUBJECT, MIN_SPEEDUP, "batched-vs-per-job"
-    )
     warnings += check_headline(
         fresh, SHM_BASELINE, SHM_SUBJECT, MIN_SHM_SPEEDUP, "shared-memory-vs-pickle"
     )

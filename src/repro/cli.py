@@ -17,13 +17,6 @@ description of machine, workloads, configurations and sweep axes (see
 file; ``scenarios list`` shows the built-ins, ``list-configs`` the registered
 policies, partitioners and machine presets custom scenarios can draw from.
 
-The pre-scenario commands (``figure5``, ``figure6``, ``figure7``, ``table1``,
-``ablations``) remain as thin shims over the equivalent built-in scenarios
-and emit a :class:`DeprecationWarning`; each prints exactly what its ``run
-<scenario>`` form prints (for the figures and Table 1 that is also
-byte-identical to the pre-scenario output; the ablations sweep labels its VC
-rows by the value column instead of ``VC(n)``).
-
 Every command prints the same plain-text tables the benchmark harness emits.
 
 Running experiments in parallel
@@ -64,14 +57,6 @@ engine (:mod:`repro.engine`) and accepts three knobs:
     artifacts unless an explicit ``--trace-dir`` is given;
     ``--no-trace-artifacts`` turns them off on their own.
 
-``--batch`` / ``--no-batch``
-    Batched scheduling (the default): jobs are grouped into one batch per
-    distinct phase trace, the result cache is consulted per batch (fully
-    cached batches skip the workers entirely), and each remaining batch runs
-    all its configurations against a single in-memory compiled trace on one
-    reused processor.  Bit-identical to ``--no-batch`` (per-job scheduling);
-    reports end with a ``[batch] traces=... configs=...`` footer.
-
 ``--shared-mem`` / ``--no-shared-mem``
     Shared-memory trace residency for parallel batched runs (on by default
     where the platform supports it): each distinct compiled trace is
@@ -98,8 +83,6 @@ from __future__ import annotations
 import argparse
 import io
 import os
-import sys
-import warnings
 from typing import List, Optional, Sequence
 
 from repro.analysis.framework import run as run_analysis
@@ -111,23 +94,6 @@ from repro.scenarios.registry import MACHINES, PARTITIONERS, POLICIES, SCENARIOS
 from repro.scenarios.runner import REPORT_KINDS, run_scenario
 from repro.scenarios.spec import ScenarioSpec, scenario_overrides
 from repro.workloads.spec2000 import all_trace_names
-
-#: Deprecated command -> built-in scenario it now shims over.
-DEPRECATED_COMMANDS = {
-    "figure5": "figure5",
-    "figure6": "figure6",
-    "figure7": "figure7",
-    "table1": "table1",
-}
-
-#: Deprecated ``ablations --sweep`` choice -> built-in sweep scenario.
-ABLATION_SCENARIOS = {
-    "virtual-clusters": "sweep-virtual-clusters",
-    "link-latency": "sweep-link-latency",
-    "region-size": "sweep-region-size",
-    "issue-queue-size": "sweep-issue-queue-size",
-}
-
 
 def resolve_cache_dir() -> str:
     """The cache directory used when ``--cache-dir`` is not passed.
@@ -147,23 +113,22 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
 
 def _trace_root(args: argparse.Namespace):
     """The trace-artifact directory selected by the trace/cache options."""
-    if getattr(args, "no_trace_artifacts", False):
+    if args.no_trace_artifacts:
         return None
-    if getattr(args, "trace_dir", None) is not None:
+    if args.trace_dir is not None:
         return args.trace_dir
     return AUTO_TRACE_ROOT  # follow the result cache (<cache dir>/traces)
 
 
 def _engine(args: argparse.Namespace) -> ParallelRunner:
-    """The engine configured by the ``--jobs`` / cache / trace / batch options."""
+    """The engine configured by the ``--jobs`` / cache / trace / shm options."""
     cache_dir = _cache_dir(args)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     return ParallelRunner(
         max_workers=args.jobs,
         cache=cache,
         trace_root=_trace_root(args),
-        batching=getattr(args, "batch", True),
-        shared_memory=getattr(args, "shared_mem", None),
+        shared_memory=args.shared_mem,
     )
 
 
@@ -196,26 +161,24 @@ def _engine_footer(engine: ParallelRunner) -> str:
                 f"generated={trace_stats['misses']} stored={trace_stats['stores']}  "
                 "(compiled traces are shared across configurations and runs)\n"
             )
-    if engine.batching:
-        batch_stats = engine.batch_stats
-        if batch_stats["jobs"] > 0:
-            # The counters are kept consistent by the engine: configs ==
-            # executed + cached + cancelled in every scheduling combination.
-            # The cancelled field appears only when something was cancelled,
-            # so non-adaptive footers are unchanged.
-            cancelled = (
-                f"cancelled={batch_stats['cancelled_jobs']} "
-                if batch_stats["cancelled_jobs"] > 0
-                else ""
-            )
-            footer += (
-                f"[batch] traces={batch_stats['batches']} configs={batch_stats['jobs']} "
-                f"executed={batch_stats['executed_jobs']} cached={batch_stats['cached_jobs']} "
-                f"max-width={batch_stats['max_width']} "
-                f"fully-cached-batches={batch_stats['cached_batches']} {cancelled} "
-                "(each batch runs all configurations of one trace; "
-                "--no-batch restores per-job scheduling)\n"
-            )
+    batch_stats = engine.batch_stats
+    if batch_stats["jobs"] > 0:
+        # The counters are kept consistent by the engine: configs ==
+        # executed + cached + cancelled in every scheduling combination.
+        # The cancelled field appears only when something was cancelled,
+        # so non-adaptive footers are unchanged.
+        cancelled = (
+            f"cancelled={batch_stats['cancelled_jobs']} "
+            if batch_stats["cancelled_jobs"] > 0
+            else ""
+        )
+        footer += (
+            f"[batch] traces={batch_stats['batches']} configs={batch_stats['jobs']} "
+            f"executed={batch_stats['executed_jobs']} cached={batch_stats['cached_jobs']} "
+            f"max-width={batch_stats['max_width']} "
+            f"fully-cached-batches={batch_stats['cached_batches']} {cancelled} "
+            "(each batch runs all configurations of one trace)\n"
+        )
     shm_stats = engine.shm_stats()
     if shm_stats["published"] + shm_stats["reused"] > 0:
         footer += (
@@ -243,7 +206,7 @@ def _engine_footer(engine: ParallelRunner) -> str:
 
 
 def _benchmarks(args: argparse.Namespace) -> Optional[List[str]]:
-    if getattr(args, "benchmarks", None):
+    if args.benchmarks:
         known = set(all_trace_names("all"))
         unknown = [name for name in args.benchmarks if name not in known]
         if unknown:
@@ -300,21 +263,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="regenerate traces from their seeds instead of loading artifacts",
     )
     parser.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=True,
-        help="group jobs into per-trace batches so every configuration of a "
-        "phase shares one in-memory compiled trace (default; bit-identical "
-        "to per-job scheduling)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="schedule jobs one by one instead of per-trace batches",
-    )
-    parser.add_argument(
         "--shared-mem",
         dest="shared_mem",
         action="store_true",
@@ -346,36 +294,18 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_options(
-    parser: argparse.ArgumentParser, trace_length_default: Optional[int] = 2500
-) -> None:
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    """``run``'s scenario overrides plus the engine options."""
     parser.add_argument(
-        "--trace-length",
-        type=int,
-        default=trace_length_default,
-        help="dynamic µops per simulation point",
+        "--trace-length", type=int, default=None, help="dynamic µops per simulation point"
     )
     parser.add_argument(
-        "--phases",
-        type=int,
-        default=1 if trace_length_default is not None else None,
-        help="PinPoints phases per benchmark (max 10)",
+        "--phases", type=int, default=None, help="PinPoints phases per benchmark (max 10)"
     )
     parser.add_argument(
         "--benchmarks", nargs="*", default=None, help="trace names (default: the scenario's set)"
     )
     _add_engine_options(parser)
-
-
-def _warn_deprecated(command: str, replacement: str) -> None:
-    message = (
-        f"'repro {command}' is deprecated; use 'repro {replacement}' "
-        "(same tables, declarative scenario underneath)"
-    )
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-    # The default warning filter hides DeprecationWarning outside __main__,
-    # so the CLI user would never see it; say it on stderr as well.
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _execute_spec(spec: ScenarioSpec, args: argparse.Namespace) -> str:
@@ -391,7 +321,7 @@ def _execute_spec(spec: ScenarioSpec, args: argparse.Namespace) -> str:
         raise SystemExit(f"invalid scenario {spec.name!r}: {exc}")
     engine = _engine(args)
     try:
-        report = run_scenario(spec, engine, adaptive=getattr(args, "adaptive", None))
+        report = run_scenario(spec, engine, adaptive=args.adaptive)
     except (ValueError, TypeError) as exc:
         raise SystemExit(f"cannot run scenario {spec.name!r}: {exc}")
     finally:
@@ -401,17 +331,6 @@ def _execute_spec(spec: ScenarioSpec, args: argparse.Namespace) -> str:
         footer = _engine_footer(engine)
         engine.shutdown()
     return report + footer
-
-
-def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> str:
-    """Apply the common CLI overrides to ``spec``, then execute it."""
-    spec = scenario_overrides(
-        spec,
-        benchmarks=_benchmarks(args),
-        trace_length=getattr(args, "trace_length", None),
-        max_phases=getattr(args, "phases", None),
-    )
-    return _execute_spec(spec, args)
 
 
 def _load_scenario(ref: str) -> ScenarioSpec:
@@ -442,7 +361,13 @@ def _load_scenario(ref: str) -> ScenarioSpec:
 
 def cmd_run(args: argparse.Namespace) -> str:
     """``run``: execute a built-in scenario or a JSON scenario file."""
-    return _run_spec(_load_scenario(args.scenario), args)
+    spec = scenario_overrides(
+        _load_scenario(args.scenario),
+        benchmarks=_benchmarks(args),
+        trace_length=args.trace_length,
+        max_phases=args.phases,
+    )
+    return _execute_spec(spec, args)
 
 
 def cmd_scenarios(args: argparse.Namespace) -> str:
@@ -490,24 +415,6 @@ def cmd_quickstart(args: argparse.Namespace) -> str:
     return _execute_spec(spec, args)
 
 
-def cmd_table1(args: argparse.Namespace) -> str:
-    """``table1``: deprecated shim over the ``table1`` scenario."""
-    _warn_deprecated("table1", "run table1")
-    spec = builtin_scenario("table1")
-    if args.virtual_clusters != spec.num_virtual_clusters:
-        from dataclasses import replace
-
-        spec = replace(spec, num_virtual_clusters=args.virtual_clusters)
-    return run_scenario(spec)
-
-
-def cmd_figure(args: argparse.Namespace) -> str:
-    """``figure5``/``figure6``/``figure7``: deprecated shims over the scenarios."""
-    scenario = DEPRECATED_COMMANDS[args.command]
-    _warn_deprecated(args.command, f"run {scenario}")
-    return _run_spec(builtin_scenario(scenario), args)
-
-
 def cmd_analyze(args: argparse.Namespace) -> str:
     """``analyze``: the static-analysis passes (:mod:`repro.analysis.framework`).
 
@@ -535,13 +442,6 @@ def cmd_analyze(args: argparse.Namespace) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def cmd_ablations(args: argparse.Namespace) -> str:
-    """``ablations``: deprecated shim over the built-in sweep scenarios."""
-    scenario = ABLATION_SCENARIOS[args.sweep]
-    _warn_deprecated(f"ablations --sweep {args.sweep}", f"run {scenario}")
-    return _run_spec(builtin_scenario(scenario), args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -557,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         help="built-in scenario name (see 'scenarios list') or path to a scenario file",
     )
-    _add_common_options(run_parser, trace_length_default=None)
+    _add_common_options(run_parser)
     run_parser.set_defaults(handler=cmd_run)
 
     scenarios_parser = subparsers.add_parser("scenarios", help="inspect built-in scenarios")
@@ -578,21 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     quick_parser.add_argument("--trace-length", type=int, default=3000)
     _add_engine_options(quick_parser)
     quick_parser.set_defaults(handler=cmd_quickstart)
-
-    table1_parser = subparsers.add_parser(
-        "table1", help="[deprecated: run table1] steering-unit complexity (Table 1)"
-    )
-    table1_parser.add_argument("--virtual-clusters", type=int, default=2)
-    table1_parser.set_defaults(handler=cmd_table1)
-
-    for name, help_text in (
-        ("figure5", "[deprecated: run figure5] 2-cluster slowdown vs OP (Figure 5)"),
-        ("figure6", "[deprecated: run figure6] copy/balance trade-off (Figure 6)"),
-        ("figure7", "[deprecated: run figure7] 4-cluster scalability (Figure 7)"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_common_options(sub)
-        sub.set_defaults(handler=cmd_figure)
 
     analyze_parser = subparsers.add_parser(
         "analyze",
@@ -624,19 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument("--list-rules", action="store_true")
     analyze_parser.set_defaults(handler=cmd_analyze)
-
-    ablations_parser = subparsers.add_parser(
-        "ablations",
-        help="[deprecated: run sweep-*] sensitivity sweeps (virtual clusters, link latency, ...)",
-    )
-    ablations_parser.add_argument(
-        "--sweep",
-        choices=sorted(ABLATION_SCENARIOS),
-        default="virtual-clusters",
-        help="which parameter to sweep",
-    )
-    _add_common_options(ablations_parser)
-    ablations_parser.set_defaults(handler=cmd_ablations)
     return parser
 
 

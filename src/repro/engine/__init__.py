@@ -60,12 +60,11 @@ Adaptive stopping rules (:mod:`repro.engine.adaptive`)
     context-manager friendly.
 
 ``ParallelRunner`` (:mod:`repro.engine.parallel`)
-    Expands nothing and decides nothing about results -- it only chooses
-    where and in what grouping jobs run (inline for ``max_workers=1``, else
-    the persistent pool; per-trace batches by default, per-job with
-    ``batching=False``; shared-memory segments where available, the pickle
-    path otherwise) and consults the caches first, per batch, so
-    fully-cached batches never reach a worker.  ``run_stream`` delivers
+    Expands nothing and decides nothing about results -- it groups jobs
+    into per-trace batches, chooses where they run (inline for
+    ``max_workers=1``, else the persistent pool; shared-memory segments
+    where available, the pickle path otherwise) and consults the caches
+    first, per batch, so fully-cached batches never reach a worker.  ``run_stream`` delivers
     results per batch as tasks complete instead of at a barrier.
 
 Determinism contract
@@ -114,7 +113,6 @@ from repro.engine.job import CACHE_SCHEMA_VERSION, SimulationJob
 from repro.engine.parallel import (
     AUTO_TRACE_ROOT,
     DEFAULT_TRACE_MEMO_CAP,
-    TRACE_MEMO_CAP_ENV,
     ParallelRunner,
     execute_batch,
     execute_job,
@@ -133,7 +131,6 @@ __all__ = [
     "DEFAULT_TRACE_MEMO_CAP",
     "SUPPORTED_CONFIDENCE",
     "TRACE_ARTIFACT_VERSION",
-    "TRACE_MEMO_CAP_ENV",
     "ZERO_ADAPTIVE_STATS",
     "BisectOutcome",
     "CIOutcome",

@@ -124,10 +124,6 @@ class ExperimentRunner:
         instead of regenerating phase traces.  The default derives it from
         the result cache (``<cache_dir>/traces``; no artifacts without a
         cache); ``None`` disables artifacts explicitly.
-    batching:
-        Schedule per-trace batches (the default) or per-job
-        (``batching=False``); results are bit-identical either way (see
-        :class:`~repro.engine.parallel.ParallelRunner`).
     shared_memory:
         Publish compiled traces into shared-memory segments for parallel
         batched runs (``None`` = where available, the default); results are
@@ -135,9 +131,8 @@ class ExperimentRunner:
     engine:
         Pre-built :class:`~repro.engine.parallel.ParallelRunner` to use
         instead of constructing one from ``jobs`` / ``cache_dir`` /
-        ``trace_dir`` / ``batching`` / ``shared_memory`` (lets several
-        runners share one cache, one worker pool and one set of resident
-        trace segments).
+        ``trace_dir`` / ``shared_memory`` (lets several runners share one
+        cache, one worker pool and one set of resident trace segments).
     """
 
     def __init__(
@@ -147,7 +142,6 @@ class ExperimentRunner:
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         trace_dir: Optional[str] = AUTO_TRACE_ROOT,
-        batching: bool = True,
         shared_memory: Optional[bool] = None,
         engine: Optional[ParallelRunner] = None,
     ) -> None:
@@ -159,7 +153,6 @@ class ExperimentRunner:
                 max_workers=jobs,
                 cache=cache,
                 trace_root=trace_dir,
-                batching=batching,
                 shared_memory=shared_memory,
             )
         self.engine = engine

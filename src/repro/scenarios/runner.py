@@ -54,7 +54,6 @@ def run_scenario(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     trace_dir: Optional[str] = AUTO_TRACE_ROOT,
-    batching: bool = True,
     shared_memory: Optional[bool] = None,
     adaptive: Optional[bool] = None,
 ) -> str:
@@ -67,7 +66,7 @@ def run_scenario(
     engine:
         Pre-built engine to use (lets callers share one worker pool, one set
         of resident shared-memory segments and one cache across scenarios);
-        built from ``jobs`` / ``cache_dir`` / ``trace_dir`` / ``batching`` /
+        built from ``jobs`` / ``cache_dir`` / ``trace_dir`` /
         ``shared_memory`` when omitted.  An engine built here is shut down
         before returning (its pool and segments do not outlive the call);
         a caller-provided engine is left running for reuse.
@@ -78,9 +77,6 @@ def run_scenario(
         Directory of the shared compiled-trace artifacts (see
         :class:`~repro.engine.artifacts.TraceArtifactStore`).  Defaults to
         ``<cache_dir>/traces``; pass ``None`` to regenerate traces instead.
-    batching:
-        Schedule the scenario's jobs as per-trace batches (default) or
-        per-job; results are bit-identical either way.
     shared_memory:
         Publish compiled traces into shared-memory segments for parallel
         batched runs (``None`` = where available, the default); results are
@@ -102,7 +98,6 @@ def run_scenario(
             max_workers=jobs,
             cache=cache,
             trace_root=trace_dir,
-            batching=batching,
             shared_memory=shared_memory,
         )
     handler = REPORT_KINDS.get(spec.report)

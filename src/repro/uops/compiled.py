@@ -14,9 +14,9 @@ The representation has three layers:
   static id, basic block, µop class, effective address, mispredict bit, the
   steering annotations (``vc_id`` / ``chain_leader`` / ``static_cluster``,
   with ``-1`` encoding "unannotated"), and CSR-style (offsets + flat values)
-  source/destination register lists.  These are exactly what
-  :meth:`CompiledTrace.save` persists, so on-disk trace artifacts stay small
-  and independent of the latency/queue tables.
+  source/destination register lists.  These are exactly what the trace
+  artifact store persists, so on-disk trace artifacts stay small and
+  independent of the latency/queue tables.
 * **derived columns**, recomputed from the µop class at construction time
   via vectorised table lookups: issue-queue kind, functional-unit latency and
   the memory/load/store/branch flags.  Editing
@@ -35,7 +35,6 @@ round-trip property the test suite pins.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -566,9 +565,9 @@ class CompiledTrace:
         """The stored columns as ``{name: array}``, in ``STORED_FIELDS`` order.
 
         This is the serialisation surface shared by every persistence layer:
-        :meth:`save` compresses these arrays to ``.npz``, the artifact store
-        adds the program pickle, and the shared-memory segment layer copies
-        their raw bytes into a block.  Passing the dict straight back to the
+        the artifact store compresses these arrays (plus the program pickle)
+        to ``.npz``, and the shared-memory segment layer copies their raw
+        bytes into a block.  Passing the dict straight back to the
         constructor (``CompiledTrace(**columns)``) is zero-copy when dtypes
         already match -- the derived columns are recomputed, the stored ones
         are adopted as-is (including read-only views over shared buffers).
@@ -579,21 +578,6 @@ class CompiledTrace:
     def stored_nbytes(self) -> int:
         """Total payload bytes of the stored columns (uncompressed)."""
         return sum(array.nbytes for array in self.stored_columns().values())
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the stored columns to a compressed ``.npz`` file."""
-        np.savez_compressed(
-            str(path), **{name: getattr(self, name) for name in self.STORED_FIELDS}
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CompiledTrace":
-        """Rebuild a compiled trace from a :meth:`save` artifact."""
-        with np.load(str(path), allow_pickle=False) as data:
-            missing = [name for name in cls.STORED_FIELDS if name not in data]
-            if missing:
-                raise ValueError(f"trace artifact {path} is missing columns {missing}")
-            return cls(**{name: data[name] for name in cls.STORED_FIELDS})
 
     # ------------------------------------------------------------ constructors --
     @classmethod

@@ -219,11 +219,10 @@ class TestStoredAnnotations:
         assert warm["trace_stats"] == {"hits": 1, "misses": 0, "stores": 0}
         assert warm["annotation_stats"] == {"hits": 4, "misses": 0, "stores": 0}
 
-    @pytest.mark.parametrize("batching", [True, False])
-    def test_serial_runner_counts_annotations_apart(self, tmp_path, small_profile, batching):
+    def test_serial_runner_counts_annotations_apart(self, tmp_path, small_profile):
         jobs = [make_job(small_profile, c) for c in CONFIGURATIONS]
         reference = [m.to_dict() for m in ParallelRunner(trace_root=None).run(jobs)]
-        runner = ParallelRunner(trace_root=tmp_path / "traces", batching=batching)
+        runner = ParallelRunner(trace_root=tmp_path / "traces")
         assert [m.to_dict() for m in runner.run(jobs)] == reference
         assert runner.trace_stats() == {"hits": 0, "misses": 1, "stores": 1}
         assert runner.annotation_stats() == {"hits": 0, "misses": 4, "stores": 4}

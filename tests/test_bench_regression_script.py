@@ -31,7 +31,7 @@ def bench_json(path: Path, means: dict, extra: dict | None = None) -> Path:
     return path
 
 
-GOOD = {cbr.SPEEDUP_BASELINE: 0.25, cbr.SPEEDUP_SUBJECT: 0.125}
+GOOD = {cbr.SHM_BASELINE: 0.25, cbr.SHM_SUBJECT: 0.125}
 
 
 class TestSchemaGate:

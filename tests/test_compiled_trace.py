@@ -27,7 +27,6 @@ from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.uops.compiled import (
     NO_ANNOTATION,
-    CompiledTrace,
     CompiledUopView,
     compile_trace,
 )
@@ -111,13 +110,6 @@ class TestRoundTrip:
         for uop in materialized:
             existing = by_sid.setdefault(uop.static.sid, uop.static)
             assert uop.static is existing
-
-    def test_save_load_round_trip(self, tmp_path, small_trace):
-        _, trace = small_trace
-        compiled = compile_trace(trace)
-        path = tmp_path / "trace.npz"
-        compiled.save(path)
-        assert CompiledTrace.load(path).equals(compiled)
 
 
 class TestDerivedColumns:
